@@ -8,7 +8,7 @@
 //!
 //! With no experiment arguments, all eight run in order. The `quick`
 //! profile (default for debug builds) uses a small corpus; `full` (default
-//! for release builds) matches the numbers recorded in EXPERIMENTS.md.
+//! for release builds) uses a 600-contract corpus and runs for minutes.
 
 use scamdetect::experiment::{
     run_e1_baselines, run_e2_gnns, run_e3_robustness, run_e4_per_pass, run_e5_agnostic,

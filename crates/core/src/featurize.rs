@@ -101,7 +101,7 @@ pub fn opcode_histogram(contract: &Contract) -> Vec<f64> {
 /// Byte-level opcode histogram from raw bytes on a known platform.
 pub fn opcode_histogram_bytes(platform: Platform, bytes: &[u8]) -> Vec<f64> {
     match platform {
-        Platform::Evm => disasm::opcode_histogram(&disasm::disassemble(bytes)),
+        Platform::Evm => disasm::opcode_histogram(bytes),
         Platform::Wasm => {
             // Instruction-byte histogram over the code payload: a direct
             // analog of the EVM representation.

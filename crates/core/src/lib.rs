@@ -99,8 +99,7 @@
 //! (`ScamDetect::train(kind, corpus, opts)` →
 //! `ScannerBuilder::new().model(kind).train_options(opts).train(corpus)`,
 //! then [`Scanner::scan`]). The [`experiment`] module regenerates
-//! every table and figure of the evaluation (see DESIGN.md §3 and
-//! EXPERIMENTS.md).
+//! every table and figure of the evaluation.
 
 pub mod artifact;
 pub mod detector;

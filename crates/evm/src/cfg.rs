@@ -15,7 +15,7 @@ use crate::memory_model::AbstractState;
 use crate::opcode::Opcode;
 use crate::stack::AbstractValue;
 use scamdetect_graph::{DiGraph, NodeId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// How to connect a jump whose target could not be resolved statically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -174,8 +174,8 @@ enum BlockExit {
     Branch(AbstractValue),
 }
 
-fn simulate_block(block: &[Instruction], entry: &AbstractState) -> (AbstractState, BlockExit) {
-    let mut state = entry.clone();
+/// Runs `block` over `state` in place, leaving the exit state behind.
+fn run_block(block: &[Instruction], state: &mut AbstractState) -> BlockExit {
     let mut exit = BlockExit::Fall;
     for ins in block {
         match ins.opcode {
@@ -196,7 +196,57 @@ fn simulate_block(block: &[Instruction], entry: &AbstractState) -> (AbstractStat
             _ => state.execute(ins),
         }
     }
-    (state, exit)
+    exit
+}
+
+/// Block lookup by byte offset: one dense table per contract, indexed by
+/// every offset up to and including the code length.
+struct BlockIndex<'a> {
+    node_at: Vec<Option<NodeId>>,
+    graph: &'a DiGraph<BasicBlock, EdgeKind>,
+}
+
+impl BlockIndex<'_> {
+    /// The block starting at `offset`, if any.
+    fn at(&self, offset: usize) -> Option<NodeId> {
+        self.node_at.get(offset).copied().flatten()
+    }
+
+    /// The block execution falls into after `n`.
+    fn next_block_of(&self, n: NodeId) -> Option<NodeId> {
+        self.at(self.graph.node(n).end())
+    }
+
+    /// The block a jump to `target` enters: a known offset that starts a
+    /// `JUMPDEST` block.
+    fn resolve_target(&self, target: AbstractValue) -> Option<NodeId> {
+        let node = self.at(target.as_known()?.to_usize()?)?;
+        self.graph.node(node).is_jump_target().then_some(node)
+    }
+
+    /// The successors of `n` for `exit`, jump target before fall-through,
+    /// and whether the exit is a jump whose target is not a known word.
+    fn successors(&self, n: NodeId, exit: BlockExit) -> ([Option<(NodeId, EdgeKind)>; 2], bool) {
+        let (target, kind, falls) = match exit {
+            BlockExit::Halt => return ([None, None], false),
+            BlockExit::Fall => {
+                let fall = self.next_block_of(n).map(|t| (t, EdgeKind::FallThrough));
+                return ([fall, None], false);
+            }
+            BlockExit::Jump(target) => (target, EdgeKind::Jump, false),
+            BlockExit::Branch(target) => (target, EdgeKind::Branch, true),
+        };
+        // A known but invalid target reverts at run time: no edge, and
+        // not unresolved either.
+        let jump = self.resolve_target(target).map(|t| (t, kind));
+        let unresolved = jump.is_none() && target.as_known().is_none();
+        let fall = if falls {
+            self.next_block_of(n).map(|t| (t, EdgeKind::FallThrough))
+        } else {
+            None
+        };
+        ([jump, fall], unresolved)
+    }
 }
 
 /// Builds the CFG of `code` with default options.
@@ -217,131 +267,88 @@ pub fn build_cfg(code: &[u8]) -> Cfg {
 }
 
 /// Builds the CFG of `code` under explicit options.
+///
+/// Allocation is per contract and per block, never per instruction or
+/// per fixpoint step: offsets index dense tables, the abstract state is
+/// refilled into one scratch buffer, and joins run in place.
 pub fn build_cfg_with(code: &[u8], opts: &CfgOptions) -> Cfg {
     let instrs = disassemble(code);
 
     // --- Block boundaries -------------------------------------------------
-    let mut leaders: BTreeSet<usize> = BTreeSet::new();
-    leaders.insert(0);
+    // Leaders are instruction starts, or the code length after a final
+    // terminator, so one flag per offset up to the length covers them.
+    let mut leader = vec![false; code.len() + 1];
+    leader[0] = true;
     for ins in &instrs {
         if ins.opcode == Some(Opcode::JUMPDEST) {
-            leaders.insert(ins.offset);
+            leader[ins.offset] = true;
         }
         if ins.is_block_terminator() || ins.opcode == Some(Opcode::JUMPI) {
-            leaders.insert(ins.next_offset());
+            leader[ins.next_offset()] = true;
         }
     }
-
-    let mut blocks: Vec<BasicBlock> = Vec::new();
-    let mut current: Vec<Instruction> = Vec::new();
-    let mut current_start = 0usize;
-    for ins in &instrs {
-        if ins.offset != current_start && leaders.contains(&ins.offset) && !current.is_empty() {
-            blocks.push(BasicBlock {
-                start: current_start,
-                instructions: std::mem::take(&mut current),
-                is_virtual: false,
-            });
-            current_start = ins.offset;
-        }
-        if current.is_empty() {
-            current_start = ins.offset;
-        }
-        current.push(ins.clone());
-    }
-    if !current.is_empty() || blocks.is_empty() {
-        blocks.push(BasicBlock {
-            start: current_start,
-            instructions: current,
-            is_virtual: false,
-        });
-    }
-
-    let mut graph: DiGraph<BasicBlock, EdgeKind> = DiGraph::with_capacity(blocks.len());
-    let mut offset_to_node: BTreeMap<usize, NodeId> = BTreeMap::new();
-    for b in blocks {
-        let start = b.start;
-        let id = graph.add_node(b);
-        offset_to_node.insert(start, id);
-    }
-    let entry = offset_to_node[&0];
-
-    let node_order: Vec<NodeId> = graph.node_ids().collect();
-    let jumpdest_nodes: Vec<NodeId> = node_order
-        .iter()
-        .copied()
-        .filter(|&n| graph.node(n).is_jump_target())
+    // Index of each block's first instruction; the first block starts at
+    // instruction 0 (or is the single empty block of empty code).
+    let firsts: Vec<usize> = std::iter::once(0)
+        .chain((1..instrs.len()).filter(|&i| leader[instrs[i].offset]))
         .collect();
 
-    // --- Fixpoint jump resolution -----------------------------------------
-    let mut in_state: Vec<Option<AbstractState>> = vec![None; graph.node_count()];
-    in_state[entry.index()] = Some(AbstractState::new());
-    let mut edges: BTreeSet<(NodeId, NodeId, EdgeKind)> = BTreeSet::new();
-    let mut unresolved_sites: BTreeSet<NodeId> = BTreeSet::new();
-    let mut resolved_targets: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-
-    let next_block_of = |n: NodeId, graph: &DiGraph<BasicBlock, EdgeKind>| -> Option<NodeId> {
-        let end = graph.node(n).end();
-        offset_to_node.get(&end).copied()
+    // Each block moves its run out of the decoded instructions.
+    let ends = firsts[1..].iter().copied().chain([instrs.len()]);
+    let mut graph: DiGraph<BasicBlock, EdgeKind> = DiGraph::with_capacity(firsts.len() + 1);
+    let mut node_at = vec![None; code.len() + 1];
+    let mut decoded = instrs.into_iter();
+    for (&first, end) in firsts.iter().zip(ends) {
+        let instructions: Vec<Instruction> = decoded.by_ref().take(end - first).collect();
+        let start = instructions.first().map_or(0, |i| i.offset);
+        let id = graph.add_node(BasicBlock {
+            start,
+            instructions,
+            is_virtual: false,
+        });
+        node_at[start] = Some(id);
+    }
+    let entry = NodeId::new(0);
+    let block_count = graph.node_count();
+    let jumpdest_nodes: Vec<NodeId> = graph
+        .node_ids()
+        .filter(|&n| graph.node(n).is_jump_target())
+        .collect();
+    let index = BlockIndex {
+        node_at,
+        graph: &graph,
     };
+
+    // --- Fixpoint jump resolution -----------------------------------------
+    let mut in_state: Vec<Option<AbstractState>> = vec![None; block_count];
+    in_state[entry.index()] = Some(AbstractState::new());
+    // Sorted and deduplicated at the end, which is the order a set of
+    // `(from, to, kind)` triples iterates in.
+    let mut edges: Vec<(NodeId, NodeId, EdgeKind)> = Vec::new();
+    let mut unresolved_site = vec![false; block_count];
 
     let mut queue: VecDeque<NodeId> = VecDeque::new();
     queue.push_back(entry);
-    let budget = graph.node_count().max(1) * opts.max_passes;
+    let budget = block_count.max(1) * opts.max_passes;
     let mut steps = 0usize;
+    let empty = AbstractState::new();
+    let mut state = AbstractState::new();
 
     while let Some(n) = queue.pop_front() {
         steps += 1;
         if steps > budget {
             break;
         }
-        let entry_state = in_state[n.index()].clone().unwrap_or_default();
-        let (exit_state, exit) = simulate_block(&graph.node(n).instructions, &entry_state);
-
-        let mut succs: Vec<(NodeId, EdgeKind)> = Vec::new();
-        match exit {
-            BlockExit::Halt => {}
-            BlockExit::Fall => {
-                if let Some(next) = next_block_of(n, &graph) {
-                    succs.push((next, EdgeKind::FallThrough));
-                }
-            }
-            BlockExit::Jump(target) => match resolve_target(target, &offset_to_node, &graph) {
-                Some(t) => {
-                    resolved_targets.entry(n).or_default().insert(t);
-                    succs.push((t, EdgeKind::Jump));
-                }
-                None => {
-                    if target.as_known().is_none() {
-                        unresolved_sites.insert(n);
-                    }
-                    // Known-but-invalid target: execution reverts, no edge.
-                }
-            },
-            BlockExit::Branch(target) => {
-                match resolve_target(target, &offset_to_node, &graph) {
-                    Some(t) => {
-                        resolved_targets.entry(n).or_default().insert(t);
-                        succs.push((t, EdgeKind::Branch));
-                    }
-                    None => {
-                        if target.as_known().is_none() {
-                            unresolved_sites.insert(n);
-                        }
-                    }
-                }
-                if let Some(next) = next_block_of(n, &graph) {
-                    succs.push((next, EdgeKind::FallThrough));
-                }
-            }
-        }
-
-        for (succ, kind) in succs {
-            edges.insert((n, succ, kind));
+        state.clone_from(in_state[n.index()].as_ref().unwrap_or(&empty));
+        let exit = run_block(&graph.node(n).instructions, &mut state);
+        let (succs, unresolved) = index.successors(n, exit);
+        unresolved_site[n.index()] |= unresolved;
+        for (succ, kind) in succs.into_iter().flatten() {
+            edges.push((n, succ, kind));
             let changed = match &mut in_state[succ.index()] {
-                Some(st) => st.join_from(&exit_state),
+                Some(st) => st.join_from(&state),
                 slot => {
-                    *slot = Some(exit_state.clone());
+                    *slot = Some(state.clone());
                     true
                 }
             };
@@ -350,97 +357,78 @@ pub fn build_cfg_with(code: &[u8], opts: &CfgOptions) -> Cfg {
             }
         }
     }
-
     // --- Dead blocks: simulate once with an unknown entry ------------------
-    for n in &node_order {
-        if in_state[n.index()].is_some() {
-            continue;
-        }
-        let (_, exit) = simulate_block(&graph.node(*n).instructions, &AbstractState::new());
-        match exit {
-            BlockExit::Halt => {}
-            BlockExit::Fall => {
-                if let Some(next) = next_block_of(*n, &graph) {
-                    edges.insert((*n, next, EdgeKind::FallThrough));
-                }
-            }
-            BlockExit::Jump(t) => match resolve_target(t, &offset_to_node, &graph) {
-                Some(tn) => {
-                    edges.insert((*n, tn, EdgeKind::Jump));
-                }
-                None => {
-                    if t.as_known().is_none() {
-                        unresolved_sites.insert(*n);
-                    }
-                }
-            },
-            BlockExit::Branch(t) => {
-                if let Some(tn) = resolve_target(t, &offset_to_node, &graph) {
-                    edges.insert((*n, tn, EdgeKind::Branch));
-                } else if t.as_known().is_none() {
-                    unresolved_sites.insert(*n);
-                }
-                if let Some(next) = next_block_of(*n, &graph) {
-                    edges.insert((*n, next, EdgeKind::FallThrough));
-                }
-            }
-        }
+    for n in graph.node_ids().filter(|n| in_state[n.index()].is_none()) {
+        state.clone_from(&empty);
+        let exit = run_block(&graph.node(n).instructions, &mut state);
+        let (succs, unresolved) = index.successors(n, exit);
+        unresolved_site[n.index()] |= unresolved;
+        edges.extend(
+            succs
+                .into_iter()
+                .flatten()
+                .map(|(succ, kind)| (n, succ, kind)),
+        );
     }
 
     // --- Unresolved jump policy --------------------------------------------
+    let sites: Vec<NodeId> = graph
+        .node_ids()
+        .filter(|n| unresolved_site[n.index()])
+        .collect();
     match opts.unknown_jump_policy {
         UnknownJumpPolicy::Ignore => {}
         UnknownJumpPolicy::ToAllJumpdests => {
-            for &site in &unresolved_sites {
+            for &site in &sites {
                 for &jd in &jumpdest_nodes {
-                    edges.insert((site, jd, EdgeKind::Unresolved));
+                    edges.push((site, jd, EdgeKind::Unresolved));
                 }
             }
         }
         UnknownJumpPolicy::VirtualNode => {
-            if !unresolved_sites.is_empty() {
+            if !sites.is_empty() {
                 let virt = graph.add_node(BasicBlock {
                     start: usize::MAX,
                     instructions: Vec::new(),
                     is_virtual: true,
                 });
-                for &site in &unresolved_sites {
-                    edges.insert((site, virt, EdgeKind::Unresolved));
+                for &site in &sites {
+                    edges.push((site, virt, EdgeKind::Unresolved));
                 }
                 for &jd in &jumpdest_nodes {
-                    edges.insert((virt, jd, EdgeKind::Unresolved));
+                    edges.push((virt, jd, EdgeKind::Unresolved));
                 }
             }
         }
     }
 
+    edges.sort_unstable();
+    edges.dedup();
+    // A resolved jump is a distinct (block, target) pair from a block the
+    // fixpoint reached; dead blocks' jumps add edges but do not count.
+    let resolved_jumps = edges
+        .iter()
+        .filter(|(from, _, kind)| {
+            matches!(kind, EdgeKind::Jump | EdgeKind::Branch) && in_state[from.index()].is_some()
+        })
+        .count();
     for (from, to, kind) in edges {
         graph.add_edge(from, to, kind);
     }
 
-    let resolved_jumps = resolved_targets.values().map(BTreeSet::len).sum();
     Cfg {
         graph,
         entry,
-        unresolved_jumps: unresolved_sites.len(),
+        unresolved_jumps: sites.len(),
         resolved_jumps,
     }
-}
-
-fn resolve_target(
-    target: AbstractValue,
-    offset_to_node: &BTreeMap<usize, NodeId>,
-    graph: &DiGraph<BasicBlock, EdgeKind>,
-) -> Option<NodeId> {
-    let off = target.as_known()?.to_usize()?;
-    let node = offset_to_node.get(&off).copied()?;
-    graph.node(node).is_jump_target().then_some(node)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::AsmProgram;
+    use std::collections::BTreeSet;
 
     fn assemble(build: impl FnOnce(&mut AsmProgram)) -> Vec<u8> {
         let mut p = AsmProgram::new();

@@ -10,7 +10,10 @@ use std::fmt;
 /// (they terminate execution if reached). A push whose immediate runs past
 /// the end of the code keeps the bytes that exist; the EVM semantics of
 /// zero-padding are applied by [`Instruction::push_value`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The immediate is stored inline, so an instruction is `Copy` and
+/// decoding allocates nothing beyond the output vector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Instruction {
     /// Byte offset of the opcode within the bytecode.
     pub offset: usize,
@@ -18,15 +21,21 @@ pub struct Instruction {
     pub opcode: Option<Opcode>,
     /// The raw opcode byte (meaningful when `opcode` is `None`).
     pub byte: u8,
-    /// Immediate bytes actually present in the code (may be shorter than
-    /// declared for a truncated trailing push).
-    pub immediate: Vec<u8>,
+    // Immediate bytes present in the code, zero past `imm_len`.
+    imm: [u8; 32],
+    imm_len: u8,
 }
 
 impl Instruction {
+    /// Immediate bytes actually present in the code (may be shorter than
+    /// declared for a truncated trailing push).
+    pub fn immediate(&self) -> &[u8] {
+        &self.imm[..usize::from(self.imm_len)]
+    }
+
     /// Encoded size in bytes: opcode plus the immediate bytes present.
     pub fn size(&self) -> usize {
-        1 + self.immediate.len()
+        1 + usize::from(self.imm_len)
     }
 
     /// Offset of the next instruction.
@@ -41,10 +50,9 @@ impl Instruction {
         if !op.is_push() {
             return None;
         }
-        let declared = op.immediate_len();
-        let mut padded = self.immediate.clone();
-        padded.resize(declared, 0);
-        Some(U256::from_be_bytes(&padded))
+        // The inline buffer is zero past the bytes present, which is
+        // exactly the EVM's right padding.
+        Some(U256::from_be_bytes(&self.imm[..op.immediate_len()]))
     }
 
     /// `true` if this instruction halts or unconditionally transfers
@@ -60,9 +68,9 @@ impl Instruction {
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.opcode {
-            Some(op) if !self.immediate.is_empty() => {
+            Some(op) if self.imm_len > 0 => {
                 write!(f, "{:#06x}: {} 0x", self.offset, op.mnemonic())?;
-                for b in &self.immediate {
+                for b in self.immediate() {
                     write!(f, "{b:02x}")?;
                 }
                 Ok(())
@@ -71,6 +79,35 @@ impl fmt::Display for Instruction {
             None => write!(f, "{:#06x}: UNKNOWN(0x{:02x})", self.offset, self.byte),
         }
     }
+}
+
+/// Declared immediate width of opcode byte `byte`: `n` for `PUSHn`, 0 for
+/// every other byte, assigned or not. The byte range is the opcode
+/// table's (a test checks them against each other); matching on it keeps
+/// the byte walks free of the full opcode decode.
+fn declared_immediate_len(byte: u8) -> usize {
+    match byte {
+        0x60..=0x7f => usize::from(byte - 0x5f),
+        _ => 0,
+    }
+}
+
+/// The linear sweep: yields `(offset, opcode byte, immediate bytes
+/// present)` for every instruction of `code`, without building
+/// [`Instruction`]s.
+///
+/// This is the one definition of instruction boundaries. [`disassemble`]
+/// builds its instructions from it, and [`opcode_histogram`] and
+/// [`crate::proxy::skeleton_hash`] walk the bytes with it directly.
+pub(crate) fn sweep(code: &[u8]) -> impl Iterator<Item = (usize, u8, usize)> + '_ {
+    let mut pc = 0usize;
+    std::iter::from_fn(move || {
+        let &byte = code.get(pc)?;
+        let offset = pc;
+        let imm_len = declared_immediate_len(byte).min(code.len() - pc - 1);
+        pc += 1 + imm_len;
+        Some((offset, byte, imm_len))
+    })
 }
 
 /// Disassembles `code` with a linear sweep from offset 0.
@@ -94,22 +131,19 @@ impl fmt::Display for Instruction {
 /// assert_eq!(instrs[2].opcode, Some(Opcode::MSTORE));
 /// ```
 pub fn disassemble(code: &[u8]) -> Vec<Instruction> {
-    let mut out = Vec::new();
-    let mut pc = 0usize;
-    while pc < code.len() {
-        let byte = code[pc];
-        let opcode = Opcode::from_byte(byte);
-        let imm_len = opcode.map_or(0, Opcode::immediate_len);
-        let end = (pc + 1 + imm_len).min(code.len());
-        out.push(Instruction {
-            offset: pc,
-            opcode,
-            byte,
-            immediate: code[pc + 1..end].to_vec(),
-        });
-        pc = end;
-    }
-    out
+    sweep(code)
+        .map(|(offset, byte, imm_len)| {
+            let mut imm = [0u8; 32];
+            imm[..imm_len].copy_from_slice(&code[offset + 1..offset + 1 + imm_len]);
+            Instruction {
+                offset,
+                opcode: Opcode::from_byte(byte),
+                byte,
+                imm,
+                imm_len: imm_len as u8,
+            }
+        })
+        .collect()
 }
 
 /// Re-encodes instructions back to bytecode (inverse of [`disassemble`]).
@@ -117,7 +151,7 @@ pub fn assemble_instructions(instrs: &[Instruction]) -> Vec<u8> {
     let mut out = Vec::new();
     for ins in instrs {
         out.push(ins.byte);
-        out.extend_from_slice(&ins.immediate);
+        out.extend_from_slice(ins.immediate());
     }
     out
 }
@@ -132,20 +166,22 @@ pub fn jumpdest_offsets(instrs: &[Instruction]) -> Vec<usize> {
         .collect()
 }
 
-/// A normalized histogram over opcode bytes (256 bins, frequencies summing
-/// to 1 for nonempty input). The classic PhishingHook-style feature vector.
-pub fn opcode_histogram(instrs: &[Instruction]) -> Vec<f64> {
-    let mut h = vec![0.0f64; 256];
-    for ins in instrs {
-        h[ins.byte as usize] += 1.0;
+/// A normalized histogram over the opcode bytes of `code` (256 bins,
+/// frequencies summing to 1 for nonempty input). The classic
+/// PhishingHook-style feature vector. Push immediates are skipped, not
+/// counted.
+pub fn opcode_histogram(code: &[u8]) -> Vec<f64> {
+    let mut counts = [0usize; 256];
+    let mut total = 0usize;
+    for (_, byte, _) in sweep(code) {
+        counts[usize::from(byte)] += 1;
+        total += 1;
     }
-    let total: f64 = h.iter().sum();
-    if total > 0.0 {
-        for v in &mut h {
-            *v /= total;
-        }
+    if total == 0 {
+        return vec![0.0; 256];
     }
-    h
+    let total = total as f64;
+    counts.iter().map(|&c| c as f64 / total).collect()
 }
 
 #[cfg(test)]
@@ -178,7 +214,7 @@ mod tests {
         let code = [0x63, 0xaa, 0xbb];
         let instrs = disassemble(&code);
         assert_eq!(instrs.len(), 1);
-        assert_eq!(instrs[0].immediate, vec![0xaa, 0xbb]);
+        assert_eq!(instrs[0].immediate(), &[0xaa, 0xbb]);
         // EVM pads with zeros on the right: 0xaabb0000.
         assert_eq!(instrs[0].push_value().unwrap().to_usize(), Some(0xaabb0000));
     }
@@ -203,7 +239,7 @@ mod tests {
     #[test]
     fn histogram_normalizes() {
         let code = [0x01, 0x01, 0x02, 0x00];
-        let h = opcode_histogram(&disassemble(&code));
+        let h = opcode_histogram(&code);
         assert!((h[0x01] - 0.5).abs() < 1e-12);
         assert!((h[0x02] - 0.25).abs() < 1e-12);
         assert!((h.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -213,7 +249,16 @@ mod tests {
     fn empty_code() {
         assert!(disassemble(&[]).is_empty());
         let h = opcode_histogram(&[]);
+        assert_eq!(h.len(), 256);
         assert_eq!(h.iter().sum::<f64>(), 0.0);
+    }
+
+    #[test]
+    fn sweep_widths_match_the_opcode_table() {
+        for byte in 0..=255u8 {
+            let declared = Opcode::from_byte(byte).map_or(0, Opcode::immediate_len);
+            assert_eq!(declared_immediate_len(byte), declared, "byte {byte:#04x}");
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn lift(code: &[u8]) -> AsmProgram {
                 } else {
                     // Preserve the exact push width (semantically relevant
                     // only through code size, but keeps lifting faithful).
-                    let mut padded = ins.immediate.clone();
+                    let mut padded = ins.immediate().to_vec();
                     padded.resize(op.immediate_len(), 0);
                     prog.push_op(AsmOp::Push(padded));
                 }

@@ -11,19 +11,37 @@
 use crate::disasm::Instruction;
 use crate::opcode::Opcode;
 use crate::stack::{AbstractStack, AbstractValue};
-use std::collections::BTreeMap;
+use crate::word::U256;
 
 /// Maximum tracked memory words; beyond this the map havocs (analysis
 /// stays sound, just less precise).
 pub const MAX_TRACKED_WORDS: usize = 128;
 
 /// Abstract machine state: stack plus word-tracked memory.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct AbstractState {
     /// The operand stack.
     pub stack: AbstractStack,
-    /// Known 32-byte words at exact byte offsets.
-    memory: BTreeMap<u64, AbstractValue>,
+    /// Known 32-byte words at exact byte offsets, sorted by offset with
+    /// no offset twice. At most [`MAX_TRACKED_WORDS`] entries, so a
+    /// sorted vector beats a tree map and refills without allocating.
+    memory: Vec<(u64, U256)>,
+}
+
+impl Clone for AbstractState {
+    fn clone(&self) -> Self {
+        AbstractState {
+            stack: self.stack.clone(),
+            memory: self.memory.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers, so refilling a scratch state allocates
+    /// nothing once it has grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.stack.clone_from(&source.stack);
+        self.memory.clone_from(&source.memory);
+    }
 }
 
 impl AbstractState {
@@ -42,6 +60,14 @@ impl AbstractState {
         self.memory.clear();
     }
 
+    /// The known word at byte offset `offset`, if any.
+    fn word_at(&self, offset: u64) -> Option<U256> {
+        self.memory
+            .binary_search_by_key(&offset, |&(k, _)| k)
+            .ok()
+            .map(|i| self.memory[i].1)
+    }
+
     /// Forgets words overlapping `[offset, offset + len)`.
     fn havoc_range(&mut self, offset: u64, len: u64) {
         if len == 0 {
@@ -49,30 +75,19 @@ impl AbstractState {
         }
         let lo = offset.saturating_sub(31);
         let hi = offset.saturating_add(len);
-        let stale: Vec<u64> = self.memory.range(lo..hi).map(|(k, _)| *k).collect();
-        for k in stale {
-            self.memory.remove(&k);
-        }
+        let from = self.memory.partition_point(|&(k, _)| k < lo);
+        let to = self.memory.partition_point(|&(k, _)| k < hi);
+        self.memory.drain(from..to);
     }
 
     /// Joins with another state (used at CFG merge points); returns `true`
     /// if `self` changed. Memory join is the intersection of agreeing
     /// facts, so precision only decreases and the fixpoint terminates.
     pub fn join_from(&mut self, other: &AbstractState) -> bool {
-        let mut changed = self.stack.join_from(&other.stack);
-        let stale: Vec<u64> = self
-            .memory
-            .iter()
-            .filter(|(k, v)| other.memory.get(k) != Some(v))
-            .map(|(k, _)| *k)
-            .collect();
-        if !stale.is_empty() {
-            changed = true;
-            for k in stale {
-                self.memory.remove(&k);
-            }
-        }
-        changed
+        let stack_changed = self.stack.join_from(&other.stack);
+        let before = self.memory.len();
+        self.memory.retain(|&(k, v)| other.word_at(k) == Some(v));
+        stack_changed || self.memory.len() != before
     }
 
     /// Executes one instruction over stack and memory.
@@ -88,9 +103,11 @@ impl AbstractState {
                     Some(off) => {
                         let off = off as u64;
                         self.havoc_range(off, 32);
-                        if let AbstractValue::Known(_) = val {
+                        if let AbstractValue::Known(word) = val {
                             if self.memory.len() < MAX_TRACKED_WORDS {
-                                self.memory.insert(off, val);
+                                // The havoc above cleared `off` itself.
+                                let at = self.memory.partition_point(|&(k, _)| k < off);
+                                self.memory.insert(at, (off, word));
                             }
                         }
                     }
@@ -102,8 +119,8 @@ impl AbstractState {
                 let loaded = off
                     .as_known()
                     .and_then(|w| w.to_usize())
-                    .and_then(|o| self.memory.get(&(o as u64)).copied())
-                    .unwrap_or(AbstractValue::Unknown);
+                    .and_then(|o| self.word_at(o as u64))
+                    .map_or(AbstractValue::Unknown, AbstractValue::Known);
                 self.stack.push(loaded);
             }
             Opcode::MSTORE8 => {
@@ -175,7 +192,6 @@ impl AbstractState {
 mod tests {
     use super::*;
     use crate::disasm::disassemble;
-    use crate::word::U256;
 
     fn run(code: &[u8]) -> AbstractState {
         let mut s = AbstractState::new();

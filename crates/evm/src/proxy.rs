@@ -115,10 +115,10 @@ pub fn skeleton_hash(code: &[u8]) -> u64 {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     };
-    for ins in crate::disasm::disassemble(code) {
-        fold(ins.byte);
+    for (_, byte, imm_len) in crate::disasm::sweep(code) {
+        fold(byte);
         // Immediates are masked: only their width contributes.
-        fold(ins.immediate.len() as u8);
+        fold(imm_len as u8);
     }
     h
 }

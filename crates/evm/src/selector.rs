@@ -61,16 +61,14 @@ pub fn extract_selectors(code: &[u8]) -> Vec<Selector> {
     let instrs = disassemble(code);
     let mut out: Vec<Selector> = Vec::new();
     for (i, ins) in instrs.iter().enumerate() {
-        if ins.opcode != Some(Opcode::PUSH4) || ins.immediate.len() != 4 {
+        if ins.opcode != Some(Opcode::PUSH4) {
             continue;
         }
+        let Ok(bytes) = <[u8; 4]>::try_from(ins.immediate()) else {
+            continue;
+        };
         if has_eq_nearby(&instrs, i) {
-            let sel = Selector([
-                ins.immediate[0],
-                ins.immediate[1],
-                ins.immediate[2],
-                ins.immediate[3],
-            ]);
+            let sel = Selector(bytes);
             if !out.contains(&sel) {
                 out.push(sel);
             }

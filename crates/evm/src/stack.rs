@@ -45,10 +45,24 @@ pub const MAX_TRACKED_DEPTH: usize = 64;
 /// A bounded abstract stack. Popping past the tracked entries yields
 /// [`AbstractValue::Unknown`] — values supplied by calling blocks are
 /// simply not tracked rather than being an error.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, PartialEq, Eq, Default)]
 pub struct AbstractStack {
     // Bottom at index 0, top at the end.
     items: Vec<AbstractValue>,
+}
+
+impl Clone for AbstractStack {
+    fn clone(&self) -> Self {
+        AbstractStack {
+            items: self.items.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer, so refilling a scratch stack allocates
+    /// nothing once it has grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.items.clone_from(&source.items);
+    }
 }
 
 impl AbstractStack {
@@ -109,21 +123,17 @@ impl AbstractStack {
     /// termination of the fixpoint.
     pub fn join_from(&mut self, other: &AbstractStack) -> bool {
         let keep = self.items.len().min(other.items.len());
-        let mut changed = self.items.len() != keep;
         // Align at the top: drop excess bottom slots.
         let self_excess = self.items.len() - keep;
-        let other_excess = other.items.len() - keep;
-        let mut joined = Vec::with_capacity(keep);
-        for i in 0..keep {
-            let a = self.items[self_excess + i];
-            let b = other.items[other_excess + i];
-            let j = if a == b { a } else { AbstractValue::Unknown };
-            if j != a {
+        let mut changed = self_excess > 0;
+        self.items.drain(..self_excess);
+        let other_top = &other.items[other.items.len() - keep..];
+        for (a, b) in self.items.iter_mut().zip(other_top) {
+            if a != b && *a != AbstractValue::Unknown {
+                *a = AbstractValue::Unknown;
                 changed = true;
             }
-            joined.push(j);
         }
-        self.items = joined;
         changed
     }
 

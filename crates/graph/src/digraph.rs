@@ -237,20 +237,26 @@ impl<N, E> DiGraph<N, E> {
             .flat_map(|(i, adj)| adj.iter().map(move |(t, w)| (NodeId::new(i), *t, w)))
     }
 
-    /// Builds a new graph with the same topology and edge payloads but node
-    /// payloads transformed by `f`.
-    pub fn map_nodes<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> DiGraph<M, E>
-    where
-        E: Clone,
-    {
+    /// Builds a new graph with the same topology, node payloads
+    /// transformed by `node` and edge payloads by `edge`, in one pass.
+    /// Node ids, successor order and predecessor order are preserved.
+    pub fn map<M, F>(
+        &self,
+        mut node: impl FnMut(NodeId, &N) -> M,
+        mut edge: impl FnMut(&E) -> F,
+    ) -> DiGraph<M, F> {
         DiGraph {
             nodes: self
                 .nodes
                 .iter()
                 .enumerate()
-                .map(|(i, n)| f(NodeId::new(i), n))
+                .map(|(i, n)| node(NodeId::new(i), n))
                 .collect(),
-            out_adj: self.out_adj.clone(),
+            out_adj: self
+                .out_adj
+                .iter()
+                .map(|adj| adj.iter().map(|(t, w)| (*t, edge(w))).collect())
+                .collect(),
             in_adj: self.in_adj.clone(),
             edge_count: self.edge_count,
         }
@@ -319,13 +325,23 @@ mod tests {
     }
 
     #[test]
-    fn map_nodes_preserves_topology() {
+    fn map_preserves_topology() {
         let (g, [a, _, _, d]) = diamond();
-        let h = g.map_nodes(|_, s| s.len());
+        let h = g.map(|_, s| s.len(), |w| u32::from(*w) * 10);
         assert_eq!(h.node_count(), 4);
+        assert_eq!(h.edge_count(), 4);
         assert_eq!(*h.node(a), 1);
         assert!(h.has_edge(a, NodeId::new(1)));
         assert_eq!(h.in_degree(d), 2);
+        let mapped: Vec<_> = h.edges().map(|(u, v, w)| (u, v, *w)).collect();
+        let original: Vec<_> = g
+            .edges()
+            .map(|(u, v, w)| (u, v, u32::from(*w) * 10))
+            .collect();
+        assert_eq!(mapped, original);
+        assert!(g
+            .node_ids()
+            .all(|n| h.predecessors(n).eq(g.predecessors(n))));
     }
 
     #[test]

@@ -113,30 +113,23 @@ impl Frontend for EvmFrontend {
             return Err(FrontendError::EmptyContract);
         }
         let cfg = build_cfg_with(bytes, &self.options);
-        let graph = cfg.graph().map_nodes(|_, block| {
-            let mut ub = UnifiedBlock::new();
-            for ins in &block.instructions {
-                match ins.opcode {
-                    Some(op) => ub.record(classify_evm_opcode(op)),
-                    None => ub.record(InstrClass::Terminate), // INVALID
+        let out = cfg.graph().map(
+            |_, block| {
+                let mut ub = UnifiedBlock::new();
+                for ins in &block.instructions {
+                    match ins.opcode {
+                        Some(op) => ub.record(classify_evm_opcode(op)),
+                        None => ub.record(InstrClass::Terminate), // INVALID
+                    }
                 }
-            }
-            ub
-        });
-        // Re-map edge kinds.
-        let mut out: DiGraph<UnifiedBlock, UnifiedEdge> =
-            DiGraph::with_capacity(graph.node_count());
-        for (_, b) in graph.nodes() {
-            out.add_node(b.clone());
-        }
-        for (u, v, k) in graph.edges() {
-            let kind = match k {
+                ub
+            },
+            |kind| match kind {
                 EdgeKind::FallThrough | EdgeKind::Jump => UnifiedEdge::Seq,
                 EdgeKind::Branch => UnifiedEdge::Branch,
                 EdgeKind::Unresolved => UnifiedEdge::Unresolved,
-            };
-            out.add_edge(u, v, kind);
-        }
+            },
+        );
         let total_jumps = cfg.resolved_jump_count() + cfg.unresolved_jump_count();
         let unresolved_fraction = if total_jumps > 0 {
             cfg.unresolved_jump_count() as f32 / total_jumps as f32

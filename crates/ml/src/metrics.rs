@@ -120,7 +120,7 @@ pub fn roc_auc(truth: &[usize], scores: &[f64]) -> f64 {
 }
 
 /// One evaluated model: name plus the standard metric bundle. This is the
-/// row type of every results table in EXPERIMENTS.md.
+/// row type of every results table the experiments print.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalRow {
     /// Model name.

@@ -17,7 +17,7 @@ use scamdetect_dataset::{ContractLabel, Corpus, CorpusConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A labeled corpus — the synthetic stand-in for the Etherscan
-    //    dataset the paper builds on (see DESIGN.md for the substitution).
+    //    dataset the paper builds on.
     //    `proxy_duplicates` injects ERC-1167 clones, the duplication
     //    pattern that dominates real scanning traffic.
     let corpus = Corpus::generate(&CorpusConfig {

@@ -1,7 +1,8 @@
 //! Property-based tests on the cross-crate invariants.
 
 use proptest::prelude::*;
-use scamdetect_evm::disasm::{assemble_instructions, disassemble};
+use scamdetect_evm::disasm::{assemble_instructions, disassemble, opcode_histogram};
+use scamdetect_evm::proxy::{fnv1a_extend, skeleton_hash, FNV1A_OFFSET_BASIS};
 use scamdetect_evm::word::U256;
 use scamdetect_wasm::decode::decode_module;
 use scamdetect_wasm::encode::encode_module;
@@ -9,7 +10,64 @@ use scamdetect_wasm::instr::{IBinOp, Instr, Width};
 use scamdetect_wasm::module::Module;
 use scamdetect_wasm::types::{BlockType, FuncType, ValType};
 
+/// The skeleton hash recomputed from decoded instructions: each opcode
+/// byte, then the width of the immediate present.
+fn skeleton_from_instructions(code: &[u8]) -> u64 {
+    disassemble(code).iter().fold(FNV1A_OFFSET_BASIS, |h, ins| {
+        fnv1a_extend(h, &[ins.byte, ins.immediate().len() as u8])
+    })
+}
+
+/// The opcode histogram counted over decoded instructions, in `f64`
+/// bins summed and normalized in place.
+fn histogram_from_instructions(code: &[u8]) -> Vec<u64> {
+    let mut h = vec![0.0f64; 256];
+    for ins in disassemble(code) {
+        h[ins.byte as usize] += 1.0;
+    }
+    let total: f64 = h.iter().sum();
+    if total > 0.0 {
+        for v in &mut h {
+            *v /= total;
+        }
+    }
+    h.into_iter().map(f64::to_bits).collect()
+}
+
+fn bits(h: Vec<f64>) -> Vec<u64> {
+    h.into_iter().map(f64::to_bits).collect()
+}
+
 proptest! {
+    /// The byte walks behind the fingerprint and the histogram delimit
+    /// instructions exactly as the disassembler does.
+    #[test]
+    fn evm_byte_walks_match_disassembly(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        prop_assert_eq!(skeleton_hash(&bytes), skeleton_from_instructions(&bytes));
+        prop_assert_eq!(bits(opcode_histogram(&bytes)), histogram_from_instructions(&bytes));
+    }
+
+    /// The same agreement when the code ends in a `PUSHn` cut short: the
+    /// prefix holds no pushes, so the final push is always truncated.
+    #[test]
+    fn evm_byte_walks_match_on_truncated_push(
+        prefix in proptest::collection::vec(any::<u8>(), 0..256),
+        width in 1usize..=32,
+        immediate in proptest::collection::vec(any::<u8>(), 0..32)
+    ) {
+        let mut code: Vec<u8> = prefix
+            .iter()
+            .map(|&b| if (0x60..=0x7f).contains(&b) { b - 0x20 } else { b })
+            .collect();
+        code.push(0x5f + width as u8);
+        code.extend(immediate.iter().take(width - 1));
+        let last = *disassemble(&code).last().expect("the push decodes");
+        prop_assert!(last.immediate().len() < width);
+        prop_assert_eq!(last.next_offset(), code.len());
+        prop_assert_eq!(skeleton_hash(&code), skeleton_from_instructions(&code));
+        prop_assert_eq!(bits(opcode_histogram(&code)), histogram_from_instructions(&code));
+    }
+
     /// Disassembly followed by re-encoding is the identity on arbitrary
     /// byte strings (the linear sweep consumes every byte exactly once).
     #[test]

@@ -138,10 +138,11 @@
 //! probing), [`breaker`] (per-replica circuit breakers), [`proxy`]
 //! (the router), [`rollout`] (the state machine), [`client`] (typed
 //! replica management calls), [`chaos`] (fault injection). The
-//! `serve_bench` binary measures direct-vs-routed latency and writes
-//! `BENCH_PR6.json` in `--router` mode; `serve_bench --shed` drives a
-//! replica past saturation and writes the `BENCH_PR7.json`
-//! graceful-degradation gate.
+//! `fleet_smoke` integration test gates the router end to end: the
+//! golden score bits reproduce bit-for-bit through it, a staged
+//! rollout lands, and a lost replica rebalances. `perfbench` measures
+//! the routed path (its `routed-hit` workload, and the `fleet.*`
+//! layers of every traced pass).
 //!
 //! [`scamdetect-serve`]: scamdetect_serve
 //! [`ShardedLru`]: scamdetect::scan::PrepCache

@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client over [`std::net::TcpStream`] —
-//! just enough to drive the daemon from the load-generator bench, the
-//! integration tests, smoke checks and the fleet router. Keep-alive by
+//! just enough to drive the daemon from `perfbench`, the integration
+//! tests, smoke checks and the fleet router. Keep-alive by
 //! default: one [`HttpClient`] holds one connection and pipelines
 //! sequential request/response pairs over it.
 //!

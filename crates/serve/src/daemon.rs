@@ -60,8 +60,8 @@ pub struct ServeConfig {
 }
 
 /// A daemon that has been bound and spawned onto a background thread —
-/// the embedded form used by tests, the load-generator bench and the
-/// CLI (which just blocks on [`RunningDaemon::join`]).
+/// the embedded form used by tests, `perfbench` and the CLI (which
+/// just blocks on [`RunningDaemon::join`]).
 pub struct RunningDaemon {
     /// The bound address (real port when `:0` was configured).
     pub addr: std::net::SocketAddr,

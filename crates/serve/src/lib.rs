@@ -60,15 +60,18 @@
 //!   stale score cannot outlive its model) while the shared
 //!   prepared-input cache ([`scamdetect::PrepCache`]) survives, so a
 //!   swap costs one re-score per warm skeleton instead of a re-lift.
-//! * [`metrics`] — relaxed-atomic counters + a latency ring buffer,
-//!   rendered as Prometheus text.
+//! * [`metrics`] — relaxed-atomic counters + log-linear latency
+//!   histograms, rendered as Prometheus text.
 //! * [`daemon`] — the routes, [`daemon::ServeConfig`], and the
 //!   [`daemon::serve`] / [`daemon::spawn`] entry points (foreground
 //!   CLI use vs. embedded tests/benches).
 //!
-//! The `serve_bench` binary drives a loopback daemon with N client
-//! threads and writes `BENCH_PR5.json` (req/s, p50/p99) — the serving
-//! path's perf trajectory from day one.
+//! The `serve_smoke` integration test gates this surface over the
+//! wire: golden score bits through JSON, `/batch` dedup, `/metrics`,
+//! a hot reload and a clean drain. The serving path's speed is
+//! measured by `perfbench` (the repository's benchmark harness, its
+//! own package under `perfbench/`), which drives a loopback daemon
+//! with a keep-alive client and reports scans/s and p50/p99.
 //!
 //! ## Operating under load
 //!
@@ -111,9 +114,12 @@
 //!   [`client::HttpClient::request_raw_opts`] with `retry_safe = false`
 //!   for writes that must never double-send.
 //!
-//! `serve_bench --shed` (in the fleet crate) drives the daemon at 2x
-//! saturation and records shed-rate plus accepted-request p99 to
-//! `BENCH_PR7.json` — the graceful-degradation gate CI enforces.
+//! Shedding is gated by `overload::saturated_daemon_sheds_429_then_recovers`
+//! (429 + `Retry-After`, the shed counted on `/metrics`, recovery once
+//! the worker frees) and, on both transports, by
+//! `transport_conformance::admission_gate_sheds_past_the_watermark_with_429`.
+//! The idle-connection claim for `epoll` is gated by
+//! `transport_conformance::epoll_holds_5000_idle_connections_with_a_pool_sized_thread_count`.
 //!
 //! ## Model lifecycle
 //!
@@ -173,9 +179,13 @@
 //! ```
 //!
 //! Fleet-wide, `scamdetect-cli fleet rollout --shadow` runs the same
-//! gate per replica inside the staged rollout, and `serve_bench
-//! --shadow` writes `BENCH_PR9.json` — the CI gate that mirroring
-//! costs the serving path at most 1.5x p99.
+//! gate per replica inside the staged rollout. The `lifecycle_smoke`
+//! integration test gates the loop over the wire:
+//! `feedback_retrain_shadow_promote_closes_the_lifecycle_loop` drives
+//! feedback → retrain → shadow → promote, and
+//! `concurrent_shadow_scoring_leaves_champion_scores_bit_identical`
+//! proves champion scores bit-identical with the shadow on, off and
+//! stopped.
 //!
 //! ## Observability
 //!
@@ -208,17 +218,19 @@
 //! * **Histograms.** `/metrics` renders real log-linear latency
 //!   histograms ([`metrics::LatencyHistogram`]) as Prometheus
 //!   `_bucket`/`_sum`/`_count` series — per endpoint
-//!   (`scamdetect_request_duration_us`) and per pipeline stage
+//!   (`scamdetect_request_duration_us`: scanner compute for `scan`,
+//!   the whole handler for `batch`) and per pipeline stage
 //!   (`scamdetect_stage_duration_us`) — so dashboards aggregate true
 //!   percentiles across the fleet instead of averaging per-replica
 //!   p99s. Each slowest-bucket gauge carries a `trace_id` exemplar
 //!   label: from a latency spike on a dashboard to the exact span tree
 //!   that caused it is one `scamdetect-cli trace` away.
 //!
-//! `serve_bench --trace` (in the fleet crate) drives the same loopback
-//! load with tracing off and then sampling 1-in-16, and writes
-//! `BENCH_PR10.json` — the CI gate that tracing-on p99 stays within
-//! 1.1x tracing-off.
+//! The fleet crate's `trace_smoke` integration test gates trace
+//! propagation, stitching and read-back (`/trace/recent`,
+//! `/trace/<id>`), and its `metrics_conformance` test gates the
+//! histogram series' text format. `perfbench --trace 1` times each
+//! layer of the serving path from outside the daemon.
 //!
 //! Embedded use (tests, benches, other daemons):
 //!

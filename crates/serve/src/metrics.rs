@@ -421,9 +421,13 @@ pub struct Metrics {
     pub lifecycle: Arc<LifecycleCounters>,
     /// Streaming drift telemetry (score histograms, cache decay).
     pub drift: DriftTelemetry,
-    /// `/scan` handler latency.
+    /// Scanner compute time, not handler latency: one sample of
+    /// `Scanner::scan_request` per `/scan` request (body decode and
+    /// response rendering excluded), plus one amortised per-contract
+    /// sample per `/batch` request.
     pub scan_latency: LatencyHistogram,
-    /// `/batch` handler latency (whole request, not per contract).
+    /// `/batch` handler latency, body decode through serialization
+    /// (whole request, not per contract).
     pub batch_latency: LatencyHistogram,
 }
 
@@ -725,7 +729,9 @@ impl Metrics {
         // bucket to keep cold endpoints cheap.
         let _ = writeln!(
             out,
-            "# HELP scamdetect_request_duration_us route-handler latency by endpoint, microseconds\n\
+            "# HELP scamdetect_request_duration_us latency by endpoint, microseconds: scan is \
+             scanner compute per /scan request plus one amortised per-contract sample per \
+             /batch; batch is the whole /batch handler through serialization\n\
              # TYPE scamdetect_request_duration_us histogram"
         );
         for (endpoint, hist) in [("scan", &self.scan_latency), ("batch", &self.batch_latency)] {

@@ -10,7 +10,10 @@
 //!   part of the serving contract) with the committed threshold's
 //!   verdict, and a re-scan reports a cache hit.
 //! * `/batch` deduplicates within the request.
-//! * `/metrics` exposes the traffic in Prometheus text format.
+//! * `/metrics` exposes the traffic in Prometheus text format, and
+//!   `scamdetect_request_duration_us` counts what its HELP text says:
+//!   `endpoint="scan"` takes one sample per `/scan` plus one amortised
+//!   sample per `/batch`, `endpoint="batch"` one per `/batch`.
 //! * `POST /models/reload` hot-swaps to a newly dropped artifact.
 //! * Shutdown is clean: the server drains, its thread joins, the port
 //!   closes.
@@ -148,6 +151,19 @@ fn daemon_serves_the_golden_artifact_reloads_and_shuts_down_cleanly() {
     assert!(metrics
         .body
         .contains("scamdetect_model_info{model=\"golden-v1\"} 1"));
+    let (scan_requests, batch_requests) = (probes.contracts().len() + 1, 1);
+    for (endpoint, count) in [
+        ("scan", scan_requests + batch_requests),
+        ("batch", batch_requests),
+    ] {
+        let series =
+            format!("scamdetect_request_duration_us_count{{endpoint=\"{endpoint}\"}} {count}\n");
+        assert!(
+            metrics.body.contains(&series),
+            "expected {series:?} in:\n{}",
+            metrics.body
+        );
+    }
 
     // ── hot reload: drop a v2 artifact, swap, verify it serves ──────
     std::fs::write(dir.join("golden-v2.scam"), &golden_bytes).expect("stage v2");

@@ -167,9 +167,10 @@ fn augmented_training(corpus: &Corpus, train_idx: &[usize]) -> (Corpus, Vec<usiz
 }
 
 /// Runs E3: train both detectors with obfuscation-augmented data (levels
-/// 1–3), evaluate on test sets obfuscated at levels 0–5 (4–5 unseen at
-/// training time). The paper's central hypothesis is that the structural
-/// model degrades more slowly at the unseen levels.
+/// 1, 3 and 4, as `augmented_training` builds them), evaluate on test sets
+/// obfuscated at levels 0–5 (only level 5 unseen at training time). The
+/// paper's central hypothesis is that the structural model degrades more
+/// slowly at the unseen level.
 pub fn run_e3_robustness(profile: &Profile) -> Result<Vec<RobustnessPoint>, ScamDetectError> {
     let corpus = profile.corpus(Platform::Evm);
     let (train_idx, test_idx) = corpus.split(profile.test_fraction, profile.seed);

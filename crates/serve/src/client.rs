@@ -248,18 +248,20 @@ fn round_trip(
     body: &[u8],
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<ClientResponse> {
-    use std::fmt::Write as _;
-    let mut head = format!(
+    // Head and body leave in one write: with Nagle off, two writes are
+    // two segments, and the peer wakes for a head it cannot act on.
+    let mut message = Vec::with_capacity(128 + body.len());
+    write!(
+        message,
         "{method} {path} HTTP/1.1\r\nHost: scamdetect\r\nContent-Length: {}\r\n",
         body.len()
-    );
+    )?;
     for (name, value) in extra_headers {
-        let _ = write!(head, "{name}: {value}\r\n");
+        write!(message, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    conn.writer.write_all(head.as_bytes())?;
-    conn.writer.write_all(body)?;
-    conn.writer.flush()?;
+    message.extend_from_slice(b"\r\n");
+    message.extend_from_slice(body);
+    conn.writer.write_all(&message)?;
 
     let bad = |what: &str| std::io::Error::new(ErrorKind::InvalidData, what.to_string());
     let mut status_line = String::new();

@@ -48,8 +48,10 @@ pub(crate) enum Parsed {
     Request {
         request: HttpRequest,
         keep_alive: bool,
-        /// When the request's first byte arrived — the start of the
-        /// trace `parse` span (receive + parse window).
+        /// When the request's first byte arrived, or when the transport
+        /// turned to it if it was already buffered behind its
+        /// predecessor — the start of the trace `parse` span (receive +
+        /// parse window).
         received: Instant,
     },
 }
@@ -75,8 +77,9 @@ pub(crate) struct RequestParser {
     scanned: usize,
     /// The parsed head once the header block has landed.
     head: Option<Head>,
-    /// When the in-progress request's first byte arrived; bounds the
-    /// whole receive via [`HttpConfig::request_deadline`].
+    /// When the in-progress request's first byte arrived (or, for a
+    /// pipelined request, when `advance` first saw it buffered); bounds
+    /// the whole receive via [`HttpConfig::request_deadline`].
     started: Option<Instant>,
 }
 
@@ -164,6 +167,10 @@ impl RequestParser {
             if self.buf.is_empty() {
                 return Ok(Parsed::NeedMore);
             }
+            // Bytes pipelined behind the previous request waited out its
+            // handler and write; their clock starts now, when the
+            // transport turns to them.
+            self.started.get_or_insert_with(Instant::now);
             let Some(end) = self.find_header_end() else {
                 if self.buf.len() > config.max_header_bytes {
                     return Err(HttpResponse::error(431, "header block too large"));
@@ -188,13 +195,6 @@ impl RequestParser {
         let head = self.head.take().expect("head is present");
         let body: Vec<u8> = self.buf.drain(..head.content_length).collect();
         let received = self.started.take().unwrap_or_else(Instant::now);
-        // Anything left belongs to the next pipelined request, whose
-        // deadline clock starts now.
-        self.started = if self.buf.is_empty() {
-            None
-        } else {
-            Some(Instant::now())
-        };
         self.scanned = 0;
         Ok(Parsed::Request {
             request: HttpRequest {
@@ -383,6 +383,20 @@ mod tests {
         assert!(got[0].1);
         assert_eq!(got[1].0.path, "/b");
         assert!(!got[1].1);
+    }
+
+    #[test]
+    fn pipelined_request_clock_starts_when_the_parser_turns_to_it() {
+        let cfg = config();
+        let mut p = RequestParser::new();
+        p.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
+        assert!(matches!(p.advance(&cfg), Ok(Parsed::Request { .. })));
+        // The first request's handler and write run here.
+        let turned = Instant::now();
+        match p.advance(&cfg) {
+            Ok(Parsed::Request { received, .. }) => assert!(received >= turned),
+            other => panic!("second request: {other:?}"),
+        }
     }
 
     #[test]

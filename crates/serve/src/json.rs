@@ -67,6 +67,7 @@ impl Json {
     /// A typed [`JsonError`] with the offending byte offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -222,23 +223,34 @@ fn render_number(n: f64, out: &mut String) {
 fn render_string(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so the runs between
+    // them start and end on char boundaries and copy in one `push_str`.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1F) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`: the grammar is ASCII, so the reader steps
+    /// over bytes and slices `text` only at ASCII positions.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -355,6 +367,16 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote, escape or control
+            // byte in one `push_str`: all three are ASCII, so the run
+            // ends on a char boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -406,17 +428,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape sequence")),
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let chunk = std::str::from_utf8(&rest[..len.min(rest.len())])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(chunk);
-                    self.pos += chunk.len();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -462,20 +474,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 

@@ -215,6 +215,11 @@
 //!   served it, and splices the replica's spans under the forward span
 //!   on one shifted clock — queue wait, cache lookup, and scoring time
 //!   line up against the wire latency in a single indented tree.
+//! * **`parse`** runs from a request's first byte to its parsed head
+//!   and body. A request pipelined behind another starts its clock
+//!   when the transport turns to it, so neither its `parse` span nor
+//!   its `request` span holds its predecessor's handler and write
+//!   (`transport_conformance` gates this on both transports).
 //! * **Histograms.** `/metrics` renders real log-linear latency
 //!   histograms ([`metrics::LatencyHistogram`]) as Prometheus
 //!   `_bucket`/`_sum`/`_count` series — per endpoint

@@ -411,33 +411,78 @@ pub fn encode_hex(bytes: &[u8]) -> String {
 ///
 /// # Errors
 ///
-/// Describes the first offending character or an odd digit count.
+/// An odd digit count, else the first character that is neither a hex
+/// digit nor whitespace.
 pub fn decode_hex(text: &str) -> Result<Vec<u8>, String> {
-    let cleaned: String = text
-        .trim()
-        .trim_start_matches("0x")
-        .chars()
-        .filter(|c| !c.is_whitespace())
-        .collect();
-    if !cleaned.len().is_multiple_of(2) {
-        return Err("odd number of hex digits".to_string());
+    let digits = text.trim().trim_start_matches("0x");
+    let mut rest = digits.as_bytes();
+    let mut bytes = Vec::with_capacity(rest.len() / 2);
+    // The high nibble of a byte whose low digit has not arrived yet:
+    // whitespace may fall between the two digits of a pair.
+    let mut high: Option<u8> = None;
+    loop {
+        if high.is_none() {
+            while let [a, b, tail @ ..] = rest {
+                let (hi, lo) = (HEX_VALUE[*a as usize], HEX_VALUE[*b as usize]);
+                if hi | lo > 15 {
+                    break;
+                }
+                bytes.push((hi << 4) | lo);
+                rest = tail;
+            }
+        }
+        let Some((&b, tail)) = rest.split_first() else {
+            break;
+        };
+        let value = HEX_VALUE[b as usize];
+        if value < 16 {
+            match high.take() {
+                Some(hi) => bytes.push((hi << 4) | value),
+                None => high = Some(value),
+            }
+            rest = tail;
+            continue;
+        }
+        // `rest` only ever loses ASCII digits or whole chars, so it
+        // starts on a char boundary here.
+        match digits[digits.len() - rest.len()..].chars().next() {
+            Some(c) if c.is_whitespace() => rest = &rest[c.len_utf8()..],
+            _ => return Err(hex_error(digits)),
+        }
     }
-    let mut bytes = Vec::with_capacity(cleaned.len() / 2);
-    let digits = cleaned.as_bytes();
-    for pair in digits.chunks_exact(2) {
-        let hi = hex_digit(pair[0])?;
-        let lo = hex_digit(pair[1])?;
-        bytes.push((hi << 4) | lo);
+    if high.is_some() {
+        return Err(hex_error(digits));
     }
     Ok(bytes)
 }
 
-fn hex_digit(b: u8) -> Result<u8, String> {
-    match b {
-        b'0'..=b'9' => Ok(b - b'0'),
-        b'a'..=b'f' => Ok(b - b'a' + 10),
-        b'A'..=b'F' => Ok(b - b'A' + 10),
-        other => Err(format!("invalid hex digit '{}'", other as char)),
+/// Each byte's hex digit value, or `0xFF` for a byte that is no digit.
+static HEX_VALUE: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            d @ b'0'..=b'9' => d - b'0',
+            d @ b'a'..=b'f' => d - b'a' + 10,
+            d @ b'A'..=b'F' => d - b'A' + 10,
+            _ => 0xFF,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The error [`decode_hex`] reports for prefix-stripped `digits` that
+/// do not decode: an odd count of non-whitespace bytes takes precedence
+/// over the first byte that is no hex digit.
+#[cold]
+fn hex_error(digits: &str) -> String {
+    let significant: String = digits.chars().filter(|c| !c.is_whitespace()).collect();
+    match significant.bytes().find(|&b| HEX_VALUE[b as usize] > 15) {
+        Some(b) if significant.len().is_multiple_of(2) => {
+            format!("invalid hex digit '{}'", b as char)
+        }
+        _ => "odd number of hex digits".to_string(),
     }
 }
 

@@ -3,7 +3,8 @@
 //! [`EpollTransport`] — keep-alive reuse, pipelining, partial reads
 //! split at every byte boundary, slowloris → 408, truncated body →
 //! 400, admission shed → 429, size limits, panic isolation, and the
-//! per-connection request cap. The cases drive raw `TcpStream`s so the
+//! per-connection request cap, and the `parse` span of a pipelined
+//! request. The cases drive raw `TcpStream`s so the
 //! wire bytes themselves are pinned, and each runs against both
 //! backends (epoll cases skip on non-Linux, where `bind` reports
 //! `Unsupported`).
@@ -16,9 +17,10 @@
 //! [`ThreadedTransport`]: scamdetect_serve::ThreadedTransport
 //! [`EpollTransport`]: scamdetect_serve::EpollTransport
 
+use scamdetect::trace::{Stage, TraceId};
 use scamdetect_serve::http::{
     Handler, HttpConfig, HttpRequest, HttpResponse, HttpServer, LoadGauge, ShutdownHandle,
-    TransportKind,
+    TraceHub, TransportKind,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -31,6 +33,7 @@ struct TestServer {
     addr: SocketAddr,
     shutdown: ShutdownHandle,
     load: Arc<LoadGauge>,
+    trace: Arc<TraceHub>,
     thread: Option<std::thread::JoinHandle<scamdetect_serve::http::ServerStats>>,
 }
 
@@ -56,11 +59,13 @@ impl TestServer {
         let addr = server.local_addr();
         let shutdown = server.shutdown_handle();
         let load = server.load_gauge();
+        let trace = server.trace_hub();
         let thread = std::thread::spawn(move || server.serve(conformance_handler()));
         Some(TestServer {
             addr,
             shutdown,
             load,
+            trace,
             thread: Some(thread),
         })
     }
@@ -218,6 +223,56 @@ fn pipelined_requests_answered_in_order() {
             let third = read_one_response(&mut stream);
             assert_eq!(status_of(&third), 200, "[{kind}]");
             assert!(third.ends_with("third"), "[{kind}] got: {third:?}");
+        },
+    );
+}
+
+#[test]
+fn pipelined_request_parse_span_excludes_its_predecessor() {
+    on_both_transports(
+        |config| config.trace_sample = 1,
+        |server, kind| {
+            let mut stream = connect(server.addr);
+            // The second request is buffered while the first one's
+            // handler sleeps: its clock must start when the transport
+            // turns to it, not when the first one left the parser.
+            stream
+                .write_all(
+                    b"GET /sleep?ms=50 HTTP/1.1\r\nHost: x\r\n\r\n\
+                      GET /ok HTTP/1.1\r\nHost: x\r\n\r\n",
+                )
+                .expect("writes");
+            let slow = read_one_response(&mut stream);
+            assert_eq!(status_of(&slow), 200, "[{kind}] got: {slow:?}");
+            let fast = read_one_response(&mut stream);
+            assert_eq!(status_of(&fast), 200, "[{kind}] got: {fast:?}");
+            let id = fast
+                .lines()
+                .find_map(|l| l.strip_prefix("x-trace-id: "))
+                .and_then(TraceId::parse)
+                .unwrap_or_else(|| panic!("[{kind}] traced response has an id: {fast:?}"));
+            // The trace is sealed just after its bytes hit the socket.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let trace = loop {
+                if let Some(trace) = server.trace.find(id) {
+                    break trace;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "[{kind}] trace {id:?} never kept"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            let parse = trace
+                .spans
+                .iter()
+                .find(|span| span.stage == Stage::Parse)
+                .unwrap_or_else(|| panic!("[{kind}] no parse span: {trace:?}"));
+            assert!(
+                parse.duration_us < 10_000,
+                "[{kind}] parse span {}µs includes the predecessor's 50ms handler",
+                parse.duration_us
+            );
         },
     );
 }

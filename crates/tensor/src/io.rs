@@ -363,8 +363,11 @@ impl<'a> ByteReader<'a> {
     pub fn get_f64_rows(&mut self, context: &'static str) -> Result<Vec<Vec<f64>>, CodecError> {
         let rows = self.get_u32(context)? as usize;
         let cols = self.get_u32(context)? as usize;
+        // An empty row costs no input but still a `Vec`: count each row
+        // as at least one element, so a zero-width shape cannot claim
+        // billions of rows from a few bytes.
         let needed = rows
-            .checked_mul(cols)
+            .checked_mul(cols.max(1))
             .and_then(|n| n.checked_mul(8))
             .ok_or(CodecError::Malformed { context })?;
         if needed > self.remaining() {
@@ -607,6 +610,20 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(r.get_f64_vec("huge").is_err());
+    }
+
+    #[test]
+    fn zero_width_row_set_cannot_claim_billions_of_rows() {
+        let mut w = ByteWriter::new();
+        w.put_u32(u32::MAX); // rows
+        w.put_u32(0); // cols
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8);
+        let mut r = ByteReader::new(&bytes);
+        assert!(matches!(
+            r.get_f64_rows("rows"),
+            Err(CodecError::Truncated { .. })
+        ));
     }
 
     #[test]

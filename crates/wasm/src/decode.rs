@@ -60,12 +60,12 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, WasmError> {
                         return Err(WasmError::BadValType { byte: marker });
                     }
                     let np = sr.u32()?;
-                    let mut params = Vec::with_capacity(np as usize);
+                    let mut params = Vec::with_capacity(sr.capacity_for(np));
                     for _ in 0..np {
                         params.push(ValType::from_byte(sr.byte()?)?);
                     }
                     let nr = sr.u32()?;
-                    let mut results = Vec::with_capacity(nr as usize);
+                    let mut results = Vec::with_capacity(sr.capacity_for(nr));
                     for _ in 0..nr {
                         results.push(ValType::from_byte(sr.byte()?)?);
                     }
@@ -162,7 +162,7 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, WasmError> {
                     let body_bytes = sr.take(body_size)?;
                     let mut br = Reader::new(body_bytes);
                     let nlocals = br.u32()?;
-                    let mut locals = Vec::with_capacity(nlocals as usize);
+                    let mut locals = Vec::with_capacity(br.capacity_for(nlocals));
                     for _ in 0..nlocals {
                         let n = br.u32()?;
                         let ty = ValType::from_byte(br.byte()?)?;
@@ -230,7 +230,7 @@ fn decode_instrs(r: &mut Reader<'_>) -> Result<(Vec<Instr>, u8), WasmError> {
             0x0d => Instr::BrIf(r.u32()?),
             0x0e => {
                 let n = r.u32()?;
-                let mut targets = Vec::with_capacity(n as usize);
+                let mut targets = Vec::with_capacity(r.capacity_for(n));
                 for _ in 0..n {
                     targets.push(r.u32()?);
                 }

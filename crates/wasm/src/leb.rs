@@ -59,6 +59,13 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
+    /// A `Vec` capacity for `count` declared elements: each takes at
+    /// least one byte, so an untrusted count never reserves more than
+    /// the bytes left could hold.
+    pub(crate) fn capacity_for(&self, count: u32) -> usize {
+        (count as usize).min(self.remaining())
+    }
+
     /// `true` when fully consumed.
     pub fn is_at_end(&self) -> bool {
         self.pos >= self.bytes.len()

@@ -122,9 +122,9 @@ pub enum ModelKind {
 pub struct TrainOptions {
     /// GNN training hyperparameters (ignored by classic models). This is
     /// the block-diagonal mini-batch configuration: every GNN detector
-    /// trains through [`gnn::train_batched`], one tape per batch of
-    /// graphs. `bucket_by_size` / `max_batch_nodes` expose the batching
-    /// knobs end to end.
+    /// trains through [`gnn::train`], one tape per batch of graphs.
+    /// `bucket_by_size` / `max_batch_nodes` expose the batching knobs end
+    /// to end.
     pub gnn: gnn::BatchTrainConfig,
     /// Seed for model initialisation.
     pub seed: u64,

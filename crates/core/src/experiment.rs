@@ -1,7 +1,7 @@
 //! Experiment runners: one function per evaluation exhibit (E1–E8).
 //!
-//! Both the Criterion benches and the `experiments` binary drive these
-//! functions; integration tests run them on the quick profile.
+//! The `experiments` binary drives these functions; integration tests run
+//! them on the quick profile.
 
 use crate::detector::{ClassicModel, Detector, ModelKind, TrainOptions};
 use crate::error::ScamDetectError;

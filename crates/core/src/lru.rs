@@ -393,14 +393,26 @@ mod tests {
         let c: ShardedLru<u64, u64> = ShardedLru::new(64, 4);
         assert_eq!(c.shard_count(), 4);
         assert_eq!(c.capacity(), 64);
-        for i in 0..32u64 {
+        // A per-process random seed picks each key's shard: only one
+        // shard's capacity (16) of keys is sure to fit without evicting.
+        for i in 0..16u64 {
             c.insert(i, i * 3);
         }
-        assert_eq!(c.len(), 32);
-        for i in 0..32u64 {
+        assert_eq!(c.len(), 16);
+        for i in 0..16u64 {
             assert_eq!(c.get(&i), Some(i * 3));
         }
         assert_eq!(c.get(&999), None);
+        // Past that, a shard may evict: the bound and the values still hold.
+        for i in 16..48u64 {
+            c.insert(i, i * 3);
+        }
+        assert!(c.len() <= c.capacity());
+        for i in 0..48u64 {
+            if let Some(v) = c.get(&i) {
+                assert_eq!(v, i * 3);
+            }
+        }
         c.clear();
         assert!(c.is_empty());
     }

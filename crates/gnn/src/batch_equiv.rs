@@ -4,11 +4,11 @@
 //! batch composition — including K = 1, graphs with no edges at all, and
 //! batches mixing wildly different node counts.
 
-use proptest::prelude::*;
-use scamdetect_gnn::{
-    synthetic_sparse_graph, train_batched, train_unbatched, BatchTrainConfig, GnnClassifier,
-    GnnConfig, GnnKind, GraphBatch, PreparedGraph, Readout,
+use crate::trainer::{synthetic_sparse_graph, train_unbatched};
+use crate::{
+    train, BatchTrainConfig, GnnClassifier, GnnConfig, GnnKind, GraphBatch, PreparedGraph, Readout,
 };
+use proptest::prelude::*;
 use scamdetect_tensor::Matrix;
 
 /// An edge-free graph (isolated nodes only).
@@ -92,7 +92,7 @@ fn batched_training_final_scores_match_unbatched() {
     for kind in GnnKind::all() {
         let mut mb = GnnClassifier::new(GnnConfig::new(kind, 6).with_hidden(8).with_seed(2));
         let mut mu = GnnClassifier::new(GnnConfig::new(kind, 6).with_hidden(8).with_seed(2));
-        train_batched(&mut mb, &data, &cfg);
+        train(&mut mb, &data, &cfg);
         train_unbatched(&mut mu, &data, &cfg.unbatched());
         for g in &data {
             let sb = mb.score(g);

@@ -1,11 +1,9 @@
 //! End-to-end equivalence of the CSR execution path against the dense
 //! reference: every architecture, forward logits and training dynamics.
 
+use crate::trainer::{synthetic_sparse_graph, train_dense, train_unbatched, TrainConfig};
+use crate::{GnnClassifier, GnnConfig, GnnKind, PreparedGraph, Readout};
 use proptest::prelude::*;
-use scamdetect_gnn::{
-    synthetic_sparse_graph, train_dense, train_unbatched, GnnClassifier, GnnConfig, GnnKind,
-    PreparedGraph, Readout, TrainConfig,
-};
 
 #[test]
 fn all_architectures_match_dense_logits() {

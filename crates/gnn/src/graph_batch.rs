@@ -3,8 +3,8 @@
 //! [`PreparedGraph`] is the sparse (CSR) representation every scan and
 //! training step runs on; [`GraphBatch`] packs `K` prepared graphs into one
 //! block-diagonal operator set so a single tape forward/backward scores all
-//! of them; [`DenseGraph`] is the dense fallback kept for equivalence
-//! testing and benchmarking.
+//! of them. Tests also build a dense `n x n` mirror of a prepared graph,
+//! the reference the CSR path is checked against.
 
 use scamdetect_ir::features::{dedup_edges_max, edge_list, node_feature_matrix, NODE_FEATURE_DIM};
 use scamdetect_ir::UnifiedCfg;
@@ -76,12 +76,12 @@ pub struct PreparedGraph {
     pub label: usize,
 }
 
-/// Dense mirror of [`PreparedGraph`]: the original `n x n` representation,
-/// retained as the reference/fallback execution path and as the baseline in
-/// the dense-vs-sparse benchmarks. All tensors are shared handles so the
-/// dense path, too, never re-clones per forward pass.
+/// Dense mirror of [`PreparedGraph`]: the textbook `n x n` representation,
+/// the reference the CSR path is tested against. All tensors are shared
+/// handles so the dense path, too, never re-clones per forward pass.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct DenseGraph {
+pub(crate) struct DenseGraph {
     /// Node features, `n x d`.
     pub x: Arc<Matrix>,
     /// Raw adjacency `A`.
@@ -253,9 +253,12 @@ impl PreparedGraph {
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
+}
 
-    /// Expands to the dense representation (fallback path, benches, tests).
-    pub fn to_dense(&self) -> DenseGraph {
+#[cfg(test)]
+impl PreparedGraph {
+    /// Expands to the dense reference representation.
+    pub(crate) fn to_dense(&self) -> DenseGraph {
         DenseGraph {
             x: Arc::clone(&self.x),
             adj: Arc::new(self.adj.matrix().to_dense()),
@@ -267,9 +270,10 @@ impl PreparedGraph {
     }
 }
 
+#[cfg(test)]
 impl DenseGraph {
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.x.rows()
     }
 }
@@ -356,16 +360,6 @@ impl GraphBatch {
             offsets,
             labels: graphs.iter().map(|g| g.label).collect(),
         }
-    }
-
-    /// Packs an owned slice of graphs (convenience over [`GraphBatch::pack`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graphs` is empty or the feature widths disagree.
-    pub fn from_graphs(graphs: &[PreparedGraph]) -> Self {
-        let refs: Vec<&PreparedGraph> = graphs.iter().collect();
-        GraphBatch::pack(&refs)
     }
 
     /// Number of graphs `K` in the batch.
@@ -582,7 +576,7 @@ mod tests {
     #[test]
     fn batch_of_one_is_the_graph_itself() {
         let g = chain3();
-        let batch = GraphBatch::from_graphs(std::slice::from_ref(&g));
+        let batch = GraphBatch::pack(&[&g]);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.offsets(), &[0, 3]);
         assert_eq!(batch.adj.matrix().to_dense(), g.adj.matrix().to_dense());

@@ -23,12 +23,10 @@
 //! GAT attention is computed edge-wise over the `A + I` structure
 //! (per-edge score gather → per-row softmax → weighted neighbour gather),
 //! so the `n x n` score matrix of the textbook formulation never exists.
-//! This CSR path is what [`GnnClassifier::score`], [`train`] and the scan
-//! pipeline always use; the dense `n x n` path ([`DenseGraph`],
-//! [`GnnClassifier::score_dense`], [`train_dense`]) is retained as the
-//! reference implementation for equivalence tests and as the baseline in
-//! the E2 dense-vs-sparse benchmark. Both paths produce logits equal to
-//! within float roundoff.
+//! This CSR path is the implementation: [`GnnClassifier::score`],
+//! [`GnnClassifier::score_batch`], [`train`] and the scan pipeline all run
+//! it. The textbook dense `n x n` formulation exists only in this crate's
+//! tests, as the reference the CSR path must match to float roundoff.
 //!
 //! # Mini-batch training
 //!
@@ -37,9 +35,9 @@
 //! readouts pooling each graph's node range to its own logits row — so a
 //! single tape forward/backward scores `K` graphs at once. [`train`] is
 //! this batched path ([`BatchTrainConfig`] adds seeded shuffling, optional
-//! length-bucketing and a per-batch node cap); [`train_unbatched`] keeps
-//! the per-graph loop as the reference baseline. Per-graph logits are
-//! independent of batch composition to float roundoff.
+//! length-bucketing and a per-batch node cap); the per-graph training loop
+//! is a test reference it must track. Per-graph logits are independent of
+//! batch composition to float roundoff.
 //!
 //! # Examples
 //!
@@ -76,9 +74,11 @@ pub mod graph_batch;
 pub mod model;
 pub mod trainer;
 
-pub use graph_batch::{DenseGraph, GraphBatch, GraphError, PreparedGraph};
+#[cfg(test)]
+mod batch_equiv;
+#[cfg(test)]
+mod dense_sparse_equiv;
+
+pub use graph_batch::{GraphBatch, GraphError, PreparedGraph};
 pub use model::{GnnClassifier, GnnConfig, GnnKind, Readout};
-pub use trainer::{
-    accuracy, evaluate, synthetic_sparse_graph, train, train_batched, train_dense, train_unbatched,
-    BatchTrainConfig, TrainConfig, TrainHistory,
-};
+pub use trainer::{accuracy, evaluate, train, BatchTrainConfig, TrainHistory};

@@ -1,10 +1,12 @@
 //! The GNN graph classifier: five architectures, one interface.
 //!
-//! Message passing runs over CSR aggregators ([`PreparedGraph`]) by
-//! default; the dense path ([`DenseGraph`]) is kept as the reference
-//! implementation for equivalence tests and benchmarks.
+//! Message passing runs over CSR aggregators ([`PreparedGraph`], or a
+//! packed [`GraphBatch`]). Tests add a dense `n x n` arm to the same
+//! forward pass as the reference the CSR path is checked against.
 
-use crate::graph_batch::{DenseGraph, GraphBatch, PreparedGraph};
+#[cfg(test)]
+use crate::graph_batch::DenseGraph;
+use crate::graph_batch::{GraphBatch, PreparedGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scamdetect_tensor::io::{
@@ -211,17 +213,18 @@ struct GatHead {
     a_dst: ParamId,
 }
 
-/// A borrowed graph (or packed batch of graphs) in any representation,
-/// dispatched inside the forward pass at the aggregation and readout points
-/// only — the surrounding layer algebra is shared.
+/// A borrowed graph (or packed batch of graphs), dispatched inside the
+/// forward pass at the aggregation and readout points only — the
+/// surrounding layer algebra is shared.
 #[derive(Clone, Copy)]
 pub(crate) enum GraphRef<'a> {
     /// CSR message passing over one graph.
     Sparse(&'a PreparedGraph),
     /// Block-diagonal CSR message passing over `K` graphs at once (the
-    /// default training path).
+    /// training path).
     Batch(&'a GraphBatch),
-    /// Dense `n x n` fallback (reference/benchmark path).
+    /// Dense `n x n` reference, for equivalence tests.
+    #[cfg(test)]
     Dense(&'a DenseGraph),
 }
 
@@ -230,18 +233,18 @@ impl<'a> GraphRef<'a> {
         match self {
             GraphRef::Sparse(g) => &g.x,
             GraphRef::Batch(b) => &b.x,
+            #[cfg(test)]
             GraphRef::Dense(g) => &g.x,
         }
     }
 
+    /// The label of a single graph, for the per-graph reference loops.
+    #[cfg(test)]
     pub(crate) fn label(&self) -> usize {
         match self {
             GraphRef::Sparse(g) => g.label,
-            GraphRef::Batch(b) => {
-                debug_assert_eq!(b.len(), 1, "label() on a multi-graph batch");
-                b.labels()[0]
-            }
             GraphRef::Dense(g) => g.label,
+            GraphRef::Batch(_) => unreachable!("the reference loops train per graph"),
         }
     }
 }
@@ -384,10 +387,10 @@ impl GnnClassifier {
     ///
     /// Aggregation dispatches on the representation: CSR graphs and
     /// block-diagonal batches run [`Tape::spmm`] / edge-wise attention
-    /// (batches additionally pool with the segment readouts); dense graphs
-    /// run the original `n x n` algebra. Shared tensors enter the tape via
-    /// interned `Arc` constants, so no path clones per-graph data per
-    /// forward call.
+    /// (batches additionally pool with the segment readouts); the
+    /// test-only dense reference runs the textbook `n x n` algebra. Shared
+    /// tensors enter the tape via interned `Arc` constants, so no path
+    /// clones per-graph data per forward call.
     pub(crate) fn forward(&self, tape: &Tape, vars: &[Var], g: GraphRef<'_>) -> Var {
         let mut h = tape.constant_shared(g.x());
 
@@ -395,16 +398,19 @@ impl GnnClassifier {
         let agg_gcn = |v: Var| match g {
             GraphRef::Sparse(s) => tape.spmm(&s.agg_gcn, v),
             GraphRef::Batch(b) => tape.spmm(&b.agg_gcn, v),
+            #[cfg(test)]
             GraphRef::Dense(d) => tape.matmul(tape.constant_shared(&d.agg_gcn), v),
         };
         let agg_mean = |v: Var| match g {
             GraphRef::Sparse(s) => tape.spmm(&s.agg_mean, v),
             GraphRef::Batch(b) => tape.spmm(&b.agg_mean, v),
+            #[cfg(test)]
             GraphRef::Dense(d) => tape.matmul(tape.constant_shared(&d.agg_mean), v),
         };
         let agg_adj = |v: Var| match g {
             GraphRef::Sparse(s) => tape.spmm(&s.adj, v),
             GraphRef::Batch(b) => tape.spmm(&b.adj, v),
+            #[cfg(test)]
             GraphRef::Dense(d) => tape.matmul(tape.constant_shared(&d.adj), v),
         };
 
@@ -479,6 +485,7 @@ impl GnnClassifier {
                         let ho = match g {
                             GraphRef::Sparse(s) => sparse_attention(&s.mask),
                             GraphRef::Batch(b) => sparse_attention(&b.mask),
+                            #[cfg(test)]
                             GraphRef::Dense(d) => {
                                 let e = tape.outer_sum(s_src, s_dst); // n x n
                                 let e = tape.leaky_relu(e, 0.2);
@@ -528,8 +535,9 @@ impl GnnClassifier {
         self.score_ref(GraphRef::Sparse(g))
     }
 
-    /// P(malicious) through the dense fallback path.
-    pub fn score_dense(&self, g: &DenseGraph) -> f64 {
+    /// P(malicious) through the dense reference path.
+    #[cfg(test)]
+    pub(crate) fn score_dense(&self, g: &DenseGraph) -> f64 {
         self.score_ref(GraphRef::Dense(g))
     }
 
@@ -545,11 +553,6 @@ impl GnnClassifier {
         let logits = self.forward(&tape, &vars, GraphRef::Batch(batch));
         let probs = scamdetect_tensor::tape::softmax_rows(&tape.value(logits));
         (0..batch.len()).map(|k| probs.get(k, 1) as f64).collect()
-    }
-
-    /// Hard prediction (threshold 0.5).
-    pub fn predict(&self, g: &PreparedGraph) -> usize {
-        usize::from(self.score(g) >= 0.5)
     }
 }
 

@@ -1,23 +1,25 @@
-//! Mini-batch training loops for GNN classifiers.
+//! Mini-batch training for GNN classifiers.
 //!
-//! The default path, [`train`] / [`train_batched`], packs each step's
-//! graphs into one block-diagonal [`GraphBatch`] so a single tape
-//! forward/backward scores the whole batch — `K` small sparse kernels
-//! collapse into one large one and the tape records `O(layers)` steps per
-//! batch instead of `O(K · layers)`. The per-graph loops are retained as
-//! references: [`train_unbatched`] (CSR, one forward per graph) and
-//! [`train_dense`] (dense `n x n` baseline).
+//! [`train`] packs each step's graphs into one block-diagonal
+//! [`GraphBatch`] so a single tape forward/backward scores the whole batch
+//! — `K` small sparse kernels collapse into one large one and the tape
+//! records `O(layers)` steps per batch instead of `O(K · layers)`. Tests
+//! keep two per-graph loops as references for it: `train_unbatched` (CSR,
+//! one forward per graph) and `train_dense` (dense `n x n`).
 
-use crate::graph_batch::{DenseGraph, GraphBatch, PreparedGraph};
+#[cfg(test)]
+use crate::graph_batch::DenseGraph;
+use crate::graph_batch::{GraphBatch, PreparedGraph};
 use crate::model::{GnnClassifier, GraphRef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scamdetect_tensor::{optim::Adam, Matrix, Tape};
 
-/// Hyperparameters of the per-graph reference loops ([`train_unbatched`],
-/// [`train_dense`]).
+/// Hyperparameters of the per-graph reference loops (`train_unbatched`,
+/// `train_dense`).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct TrainConfig {
+pub(crate) struct TrainConfig {
     /// Number of passes over the data.
     pub epochs: usize,
     /// Graphs per gradient step.
@@ -32,6 +34,7 @@ pub struct TrainConfig {
     pub loss_target: f32,
 }
 
+#[cfg(test)]
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
@@ -45,8 +48,7 @@ impl Default for TrainConfig {
     }
 }
 
-/// Hyperparameters of the block-diagonal mini-batch path ([`train`] /
-/// [`train_batched`]) — the default end-to-end training configuration.
+/// Hyperparameters of [`train`], the block-diagonal mini-batch path.
 #[derive(Debug, Clone)]
 pub struct BatchTrainConfig {
     /// Number of passes over the data.
@@ -88,10 +90,10 @@ impl Default for BatchTrainConfig {
     }
 }
 
+#[cfg(test)]
 impl BatchTrainConfig {
-    /// The per-graph reference configuration with the same hyperparameters
-    /// (used by equivalence tests and the batched-vs-unbatched benchmark).
-    pub fn unbatched(&self) -> TrainConfig {
+    /// The per-graph reference configuration with the same hyperparameters.
+    pub(crate) fn unbatched(&self) -> TrainConfig {
         TrainConfig {
             epochs: self.epochs,
             batch_size: self.batch_size,
@@ -99,20 +101,6 @@ impl BatchTrainConfig {
             weight_decay: self.weight_decay,
             seed: self.seed,
             loss_target: self.loss_target,
-        }
-    }
-}
-
-impl From<TrainConfig> for BatchTrainConfig {
-    fn from(cfg: TrainConfig) -> Self {
-        BatchTrainConfig {
-            epochs: cfg.epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            weight_decay: cfg.weight_decay,
-            seed: cfg.seed,
-            loss_target: cfg.loss_target,
-            ..BatchTrainConfig::default()
         }
     }
 }
@@ -131,23 +119,14 @@ impl TrainHistory {
     }
 }
 
-/// Trains `model` on `data` in place and returns the loss history — the
-/// default, block-diagonal mini-batch path (alias of [`train_batched`]).
+/// Trains `model` on `data` in place and returns the loss history: one
+/// tape, one forward, one backward and one Adam step per batch of `K`
+/// graphs.
 ///
-/// Each gradient step packs its graphs into one [`GraphBatch`] and runs a
-/// single tape forward/backward; the loss is the mean cross-entropy over
-/// the batch's per-graph logits rows, so the optimisation trajectory
-/// matches [`train_unbatched`] under the same seed to float roundoff.
-pub fn train(
-    model: &mut GnnClassifier,
-    data: &[PreparedGraph],
-    cfg: &BatchTrainConfig,
-) -> TrainHistory {
-    train_batched(model, data, cfg)
-}
-
-/// Block-diagonal mini-batch training: one tape, one forward, one backward
-/// and one Adam step per batch of `K` graphs.
+/// Each gradient step packs its graphs into one [`GraphBatch`]; the loss
+/// is the mean cross-entropy over the batch's per-graph logits rows, so
+/// the optimisation trajectory matches the per-graph reference loop under
+/// the same seed to float roundoff.
 ///
 /// Graph order is reshuffled every epoch by a seeded Fisher–Yates (the
 /// same stream the reference loops draw), then chunked into batches of
@@ -156,7 +135,7 @@ pub fn train(
 /// [`BatchTrainConfig::bucket_by_size`] the batches are instead formed
 /// once over a node-count-sorted order and only the batch order is
 /// shuffled per epoch, so packing is paid once per training run.
-pub fn train_batched(
+pub fn train(
     model: &mut GnnClassifier,
     data: &[PreparedGraph],
     cfg: &BatchTrainConfig,
@@ -270,9 +249,9 @@ fn shuffle(order: &mut [usize], rng: &mut StdRng) {
 }
 
 /// Per-graph CSR training — the unbatched reference loop (one forward per
-/// graph, losses summed on the tape). Used by equivalence tests and as the
-/// baseline of the E2 batched-vs-unbatched benchmark.
-pub fn train_unbatched(
+/// graph, losses summed on the tape) that [`train`] is tested against.
+#[cfg(test)]
+pub(crate) fn train_unbatched(
     model: &mut GnnClassifier,
     data: &[PreparedGraph],
     cfg: &TrainConfig,
@@ -281,10 +260,10 @@ pub fn train_unbatched(
     train_refs(model, &refs, cfg)
 }
 
-/// [`train_unbatched`] over the dense fallback representation — identical
-/// loop and shuffling, used by equivalence tests and the dense-vs-sparse
-/// benchmark.
-pub fn train_dense(
+/// [`train_unbatched`] over the dense reference representation — identical
+/// loop and shuffling.
+#[cfg(test)]
+pub(crate) fn train_dense(
     model: &mut GnnClassifier,
     data: &[DenseGraph],
     cfg: &TrainConfig,
@@ -293,6 +272,7 @@ pub fn train_dense(
     train_refs(model, &refs, cfg)
 }
 
+#[cfg(test)]
 fn train_refs(model: &mut GnnClassifier, data: &[GraphRef<'_>], cfg: &TrainConfig) -> TrainHistory {
     let mut history = TrainHistory::default();
     if data.is_empty() {
@@ -362,7 +342,7 @@ pub fn accuracy(model: &GnnClassifier, data: &[PreparedGraph]) -> f64 {
 }
 
 /// Builds a synthetic, structurally separable graph dataset for tests and
-/// smoke benchmarks: class 0 graphs are chains, class 1 graphs are chains
+/// examples: class 0 graphs are chains, class 1 graphs are chains
 /// plus a dense hub (a "drain loop" caricature). Mirroring the real
 /// pipeline's node features, column 0 carries the normalised out-degree
 /// (structure made locally visible); the remaining columns are noise.
@@ -401,9 +381,14 @@ pub fn synthetic_structural_dataset(n: usize, dim: usize, seed: u64) -> Vec<Prep
 /// `n` random shortcut/back edges (average out-degree ≈ 2, a quarter
 /// down-weighted to 0.25 like unresolved jumps) plus `isolated` trailing
 /// nodes with no edges at all, labelled `seed % 2`. This is the density
-/// regime real contract CFGs live in; the dense-vs-sparse equivalence
-/// tests and the E2 benchmark both draw from it.
-pub fn synthetic_sparse_graph(n: usize, isolated: usize, dim: usize, seed: u64) -> PreparedGraph {
+/// regime real contract CFGs live in; the equivalence tests draw from it.
+#[cfg(test)]
+pub(crate) fn synthetic_sparse_graph(
+    n: usize,
+    isolated: usize,
+    dim: usize,
+    seed: u64,
+) -> PreparedGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let total = n + isolated;
     let mut edges = Vec::new();
@@ -518,7 +503,7 @@ mod tests {
         for kind in GnnKind::all() {
             let mut mb = GnnClassifier::new(GnnConfig::new(kind, 6).with_hidden(8).with_seed(5));
             let mut mu = GnnClassifier::new(GnnConfig::new(kind, 6).with_hidden(8).with_seed(5));
-            let hb = train_batched(&mut mb, &data, &cfg);
+            let hb = train(&mut mb, &data, &cfg);
             let hu = train_unbatched(&mut mu, &data, &cfg.unbatched());
             assert_eq!(hb.epoch_loss.len(), hu.epoch_loss.len());
             for (lb, lu) in hb.epoch_loss.iter().zip(&hu.epoch_loss) {
@@ -544,7 +529,7 @@ mod tests {
             bucket_by_size: true,
             ..BatchTrainConfig::default()
         };
-        let hist = train_batched(&mut model, &data, &cfg);
+        let hist = train(&mut model, &data, &cfg);
         assert!(hist.final_loss().unwrap() < hist.epoch_loss[0]);
         assert!(accuracy(&model, &data) > 0.9);
     }
@@ -572,7 +557,7 @@ mod tests {
         }
         // Training under the cap still runs end to end.
         let mut model = GnnClassifier::new(GnnConfig::new(GnnKind::Sage, 4));
-        let hist = train_batched(&mut model, &data, &BatchTrainConfig { epochs: 2, ..cfg });
+        let hist = train(&mut model, &data, &BatchTrainConfig { epochs: 2, ..cfg });
         assert_eq!(hist.epoch_loss.len(), 2);
     }
 }

@@ -86,7 +86,7 @@ pub fn graph_feature_vector(cfg: &UnifiedCfg) -> Vec<f64> {
 /// unresolved edges optionally down-weighted so over-approximation noise
 /// does not drown real structure.
 ///
-/// Only the dense fallback/reference path uses this; the scan path builds
+/// Only tests use this, as the dense reference; the scan path builds
 /// the `O(e)` [`edge_list`] instead and never materialises `n x n`.
 pub fn adjacency_matrix(cfg: &UnifiedCfg, unresolved_weight: f32) -> Vec<f32> {
     let g = cfg.graph();

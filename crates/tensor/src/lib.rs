@@ -30,10 +30,11 @@
 //! [`Tape::edge_softmax`] normalises them per source row, and
 //! [`Tape::edge_gather`] scatters the weighted neighbour features — no
 //! `n x n` score matrix or mask is ever materialised. Dense mirrors of
-//! these ops ([`Tape::matmul`], [`Tape::masked_softmax_rows`]) remain for
-//! the reference/fallback path and for equivalence tests. Shared per-graph
-//! tensors are placed on a tape via [`Tape::constant_shared`], which interns
-//! `Arc` handles so repeated forward passes never clone them.
+//! these ops ([`Tape::matmul`], [`Tape::masked_softmax_rows`]) remain as
+//! the references the equivalence tests check the sparse ops against.
+//! Shared per-graph tensors are placed on a tape via
+//! [`Tape::constant_shared`], which interns `Arc` handles so repeated
+//! forward passes never clone them.
 //!
 //! # Mini-batch training
 //!

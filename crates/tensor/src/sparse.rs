@@ -293,7 +293,7 @@ impl CsrMatrix {
         }
     }
 
-    /// Expands to a dense matrix (tests and the dense fallback path).
+    /// Expands to a dense matrix (tests and the dense GNN reference).
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows, self.cols);
         for (r, c, v) in self.iter() {

@@ -833,7 +833,7 @@ impl Tape {
     /// Masked-out entries are exactly zero in the output. Rows whose mask is
     /// entirely zero produce an all-zero row (isolated CFG nodes receive no
     /// attention mass). This is the attention normaliser of the dense GAT
-    /// fallback; the CSR path uses [`Tape::edge_softmax`] instead. The mask
+    /// reference; the CSR path uses [`Tape::edge_softmax`] instead. The mask
     /// is taken as a shared handle so repeated heads/layers never copy it.
     pub fn masked_softmax_rows(&self, a: Var, mask: &Arc<Matrix>) -> Var {
         let mask = Arc::clone(mask);

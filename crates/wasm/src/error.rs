@@ -1,5 +1,6 @@
 //! Error types for WASM module processing.
 
+use crate::decode::MAX_NESTING_DEPTH;
 use std::error::Error;
 use std::fmt;
 
@@ -44,6 +45,11 @@ pub enum WasmError {
     },
     /// Structured control flow is malformed (unbalanced `end`/`else`).
     UnbalancedControl,
+    /// A `block`, `loop` or `if` nests deeper than [`MAX_NESTING_DEPTH`].
+    NestingTooDeep {
+        /// Offset of the first body one level past the limit.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for WasmError {
@@ -69,6 +75,10 @@ impl fmt::Display for WasmError {
             WasmError::UnbalancedControl => {
                 write!(f, "unbalanced structured control flow in function body")
             }
+            WasmError::NestingTooDeep { offset } => write!(
+                f,
+                "control nesting deeper than {MAX_NESTING_DEPTH} levels at offset {offset}"
+            ),
         }
     }
 }
@@ -97,6 +107,7 @@ mod tests {
             },
             WasmError::BadValType { byte: 0x7b },
             WasmError::UnbalancedControl,
+            WasmError::NestingTooDeep { offset: 12 },
         ];
         for e in errs {
             let m = e.to_string();

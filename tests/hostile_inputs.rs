@@ -3,11 +3,15 @@
 //! never reserve memory for the elements it claims. A decoder that sized
 //! its buffers from these counts would ask the allocator for tens of
 //! gigabytes, and the failed allocation aborts the process, which no
-//! per-request panic isolation can catch.
+//! per-request panic isolation can catch. Nesting is bounded the same
+//! way: a body nested past the decoder's limit fails typed instead of
+//! overflowing the stack, which aborts the process too.
 
 use scamdetect::{ClassicModel, FeatureKind, ModelKind, ScamDetectError, Scanner, ScannerBuilder};
 use scamdetect_dataset::{Corpus, CorpusConfig};
 use scamdetect_ir::{FrontendError, Platform};
+use scamdetect_wasm::decode::MAX_NESTING_DEPTH;
+use scamdetect_wasm::leb::write_u32;
 use scamdetect_wasm::WasmError;
 
 /// `u32::MAX` as unsigned LEB128.
@@ -19,11 +23,25 @@ fn module_with_body(body: &[u8]) -> Vec<u8> {
     let mut module = vec![0x00, 0x61, 0x73, 0x6d, 0x01, 0x00, 0x00, 0x00];
     module.extend_from_slice(&[0x01, 0x04, 0x01, 0x60, 0x00, 0x00]); // types
     module.extend_from_slice(&[0x03, 0x02, 0x01, 0x00]); // functions
-    let mut code = vec![0x01, body.len() as u8];
+    let mut code = vec![0x01];
+    write_u32(&mut code, body.len() as u32);
     code.extend_from_slice(body);
-    module.extend_from_slice(&[0x0a, code.len() as u8]);
+    module.push(0x0a);
+    write_u32(&mut module, code.len() as u32);
     module.extend_from_slice(&code);
     module
+}
+
+/// A local-free body of `depth` nested openers, cycling through `block`,
+/// `loop` and `if` (on a constant condition).
+fn nested_body(depth: usize) -> Vec<u8> {
+    let openers: [&[u8]; 3] = [&[0x02, 0x40], &[0x03, 0x40], &[0x41, 0x01, 0x04, 0x40]];
+    let mut body = vec![0x00];
+    for level in 0..depth {
+        body.extend_from_slice(openers[level % 3]);
+    }
+    body.extend(std::iter::repeat_n(0x0b, depth + 1));
+    body
 }
 
 fn scanner() -> Scanner {
@@ -73,4 +91,21 @@ fn billions_of_declared_elements_fail_typed() {
             other => panic!("{name}: expected a typed truncation error, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn nesting_past_the_limit_fails_typed() {
+    let scanner = scanner();
+    for depth in [MAX_NESTING_DEPTH + 1, 10_000] {
+        match scan_on_small_stack(&scanner, &module_with_body(&nested_body(depth))) {
+            Err(ScamDetectError::Frontend(FrontendError::Wasm(WasmError::NestingTooDeep {
+                ..
+            }))) => {}
+            other => panic!("depth {depth}: expected a typed nesting error, got {other:?}"),
+        }
+    }
+    // Exactly at the limit, the module decodes, validates, lifts, scores
+    // and drops on the same stack.
+    let at_limit = module_with_body(&nested_body(MAX_NESTING_DEPTH));
+    scan_on_small_stack(&scanner, &at_limit).expect("a module at the limit gets a verdict");
 }

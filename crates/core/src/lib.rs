@@ -121,7 +121,7 @@ pub use scan::{
     request_fingerprint, CacheStatus, CfgStats, PrepCache, ScanOutcome, ScanReport, ScanRequest,
     Scanner, ScannerBuilder,
 };
-pub use trace::{ActiveTrace, Sampler, Stage, Trace, TraceId, TraceRing, TraceSpan};
+pub use trace::{ActiveTrace, Note, Sampler, Stage, Trace, TraceId, TraceRing, TraceSpan};
 pub use verdict::Verdict;
 
 // Re-export the architecture enum so users pick GNNs without an extra

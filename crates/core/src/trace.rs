@@ -6,10 +6,10 @@
 //! containers everything else composes:
 //!
 //! * [`TraceId`] — a 64-bit id produced by a splitmix64 mix over a
-//!   process-global counter (seeded from wall clock ⊕ pid), rendered as
-//!   16 lowercase hex digits. Ids travel between processes in the
-//!   `x-trace-id` header, so [`TraceId::parse`] accepts exactly what
-//!   [`TraceId::to_hex`] emits.
+//!   process-global counter (offset by a seed read once per process from
+//!   wall clock ⊕ pid), rendered as 16 lowercase hex digits. Ids travel
+//!   between processes in the `x-trace-id` header, so [`TraceId::parse`]
+//!   accepts exactly what [`TraceId::to_hex`] emits.
 //! * [`Stage`] — the closed vocabulary of span tags. Serve-side stages
 //!   follow the request path (`queue_wait` → `parse` → `admission` →
 //!   `handler` → `cache_lookup`/`prep`/`score` → `serialize` → `write`);
@@ -21,6 +21,11 @@
 //!   recording a span is a plain `Vec::push` with no shared-state
 //!   contention; cross-thread hand-off happens at most twice per request
 //!   (dispatch → worker → writer), piggy-backing on existing channels.
+//!   Every request of a traced server records one, so it costs no heap
+//!   allocation and no formatting once warm: spans go into a buffer
+//!   sized once and reused from a per-thread pool, and each [`Note`]
+//!   holds the raw values it names. Only a trace that is *kept* becomes
+//!   a [`Trace`], with its notes rendered to text.
 //! * [`TraceRing`] — the bounded completed-trace ring. Pushes use
 //!   `try_lock` and **drop rather than block** (the same discipline as
 //!   the shadow-scoring queue): tracing must never add tail latency to
@@ -30,15 +35,19 @@
 //!   request start; the decision to *keep* is made once at finish.
 //!
 //! Timestamps are monotonic ([`std::time::Instant`]) relative to a
-//! per-trace origin; only the origin itself is stamped with wall-clock
-//! time (`unix_start_us`) so cross-process timelines can be aligned
-//! approximately by the stitcher.
+//! per-trace origin; only a kept trace's origin is stamped with
+//! wall-clock time (`unix_start_us`) so cross-process timelines can be
+//! aligned approximately by the stitcher.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+use crate::scan::CacheStatus;
 
 /// The splitmix64 increment (golden-ratio gamma). Shared with the
 /// jittered-backoff helper in the fleet layer by value, not by import.
@@ -56,6 +65,9 @@ pub fn splitmix64(seed: u64) -> u64 {
 
 static TRACE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// The process's id stream offset: wall clock ⊕ pid, read once.
+static TRACE_SEED: OnceLock<u64> = OnceLock::new();
+
 fn trace_seed() -> u64 {
     let nanos = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -69,18 +81,15 @@ fn trace_seed() -> u64 {
 pub struct TraceId(u64);
 
 impl TraceId {
-    /// Generates a fresh id: splitmix64 over a global counter whose
-    /// first use seeds it from wall clock ⊕ pid. Zero is reserved as
-    /// "no id" and never produced.
+    /// Generates a fresh id: splitmix64 over a global counter offset by
+    /// a per-process seed (wall clock ⊕ pid, read on first use). The
+    /// mix is a bijection, so ids never repeat within a process. Zero
+    /// is reserved as "no id" and never produced.
     pub fn generate() -> TraceId {
+        let seed = *TRACE_SEED.get_or_init(trace_seed);
         loop {
             let n = TRACE_COUNTER.fetch_add(1, Ordering::Relaxed);
-            let seed = if n == 0 {
-                trace_seed()
-            } else {
-                trace_seed().wrapping_add(n)
-            };
-            let mixed = splitmix64(seed);
+            let mixed = splitmix64(seed.wrapping_add(n));
             if mixed != 0 {
                 return TraceId(mixed);
             }
@@ -102,7 +111,14 @@ impl TraceId {
 
     /// The canonical wire form: exactly 16 lowercase hex digits.
     pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
+        self.to_string()
+    }
+
+    /// The wire form without allocating: the 16 lowercase hex digits as
+    /// ASCII bytes, for writing straight into a buffer.
+    pub fn hex_digits(self) -> [u8; 16] {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        std::array::from_fn(|i| DIGITS[(self.0 >> (60 - 4 * i)) as usize & 0xF])
     }
 
     /// Parses the wire form. Accepts 1–16 hex digits (case-insensitive)
@@ -118,7 +134,8 @@ impl TraceId {
 
 impl fmt::Display for TraceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
+        let digits = self.hex_digits();
+        f.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
     }
 }
 
@@ -202,8 +219,10 @@ impl Stage {
     }
 
     /// Dense index into [`Stage::ALL`]; used for per-stage histograms.
+    /// `ALL` lists the variants in declaration order, so the index is
+    /// the discriminant.
     pub fn index(self) -> usize {
-        Stage::ALL.iter().position(|s| *s == self).unwrap_or(0)
+        self as usize
     }
 }
 
@@ -267,46 +286,154 @@ impl Trace {
     }
 }
 
+/// A span note, kept as the raw values it names. Recording one formats
+/// and allocates nothing; [`fmt::Display`] renders the text only when a
+/// trace is kept.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Note {
+    /// Admission load: `queued=<n> in_flight=<n> watermark=<n>`.
+    Load {
+        queued: usize,
+        in_flight: usize,
+        watermark: usize,
+    },
+    /// Verdict-cache outcome: `cache=<status>` (`cache=CacheHit`).
+    Cache(CacheStatus),
+    /// Response status: `status=<code>`.
+    Status(u16),
+    /// Router ring lookup: `owner=<addr> attempt=<k>`. A replica's id
+    /// is its address.
+    Route { owner: SocketAddr, attempt: usize },
+    /// Router forward: `replica=<addr> status=<code> attempt=<k>`.
+    Forward {
+        replica: SocketAddr,
+        status: u16,
+        attempt: usize,
+    },
+    /// Text formatted by the caller, for notes off the request fast
+    /// path (batch sizes, retries, breaker trips, failed forwards).
+    Text(String),
+}
+
+impl fmt::Display for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Note::Load {
+                queued,
+                in_flight,
+                watermark,
+            } => write!(
+                f,
+                "queued={queued} in_flight={in_flight} watermark={watermark}"
+            ),
+            Note::Cache(status) => write!(f, "cache={status:?}"),
+            Note::Status(status) => write!(f, "status={status}"),
+            Note::Route { owner, attempt } => write!(f, "owner={owner} attempt={attempt}"),
+            Note::Forward {
+                replica,
+                status,
+                attempt,
+            } => write!(f, "replica={replica} status={status} attempt={attempt}"),
+            Note::Text(text) => f.write_str(text),
+        }
+    }
+}
+
+impl From<String> for Note {
+    fn from(text: String) -> Note {
+        Note::Text(text)
+    }
+}
+
+/// Spans a trace's buffer holds from the start: every span the serve
+/// and router fast paths record fits, so only long retry chains grow
+/// it.
+const SPAN_CAPACITY: usize = 16;
+
+/// Emptied span buffers one thread keeps for its next traces.
+const POOLED_SPAN_BUFFERS: usize = 64;
+
+thread_local! {
+    /// Span buffers of this thread's dropped traces. A request's trace
+    /// is started and dropped by the same transport thread, so once
+    /// warm every trace reuses a buffer and none allocates.
+    static SPAN_BUFFERS: RefCell<Vec<Vec<RawSpan>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A span as the collector stores it: its id is its index, and span 0
+/// (the root) is the only one without a parent.
+#[derive(Debug)]
+struct RawSpan {
+    parent: u32,
+    stage: Stage,
+    start_us: u64,
+    duration_us: u64,
+    note: Option<Note>,
+}
+
 /// The per-request span collector. Owned by one request at a time and
-/// mutated without shared locks; finished into an immutable [`Trace`].
+/// mutated without shared locks; finished into an immutable [`Trace`]
+/// when kept.
+///
+/// Spans go into a buffer sized for the fast paths, taken from the
+/// thread's pool at start and returned to the dropping thread's pool,
+/// so the collector itself stays a few words wide as it moves with its
+/// request.
+///
+/// The open spans are the innermost one and its ancestors: a span
+/// opened by [`ActiveTrace::begin`] nests under the innermost open
+/// span and becomes the innermost itself, so the parent links double
+/// as the open-span stack.
 #[derive(Debug)]
 pub struct ActiveTrace {
     id: TraceId,
     origin: Instant,
-    unix_start_us: u64,
     sampled: bool,
     forced: bool,
-    spans: Vec<TraceSpan>,
-    /// Open span ids, innermost last. The root (id 0) is open from
-    /// `start` until `finish`.
-    stack: Vec<u32>,
-    next: u32,
+    /// Spans in id order.
+    spans: Vec<RawSpan>,
+    /// The innermost open span. The root (id 0) is open from `start`
+    /// until `finish`.
+    innermost: u32,
+}
+
+impl Drop for ActiveTrace {
+    fn drop(&mut self) {
+        let mut spans = std::mem::take(&mut self.spans);
+        spans.clear();
+        // A thread tearing down its locals simply frees the buffer.
+        let _ = SPAN_BUFFERS.try_with(|pool| {
+            if let Ok(mut pool) = pool.try_borrow_mut() {
+                if pool.len() < POOLED_SPAN_BUFFERS {
+                    pool.push(spans);
+                }
+            }
+        });
+    }
 }
 
 impl ActiveTrace {
     /// Opens a trace whose root `request` span starts at `origin`.
     pub fn start(id: TraceId, origin: Instant, sampled: bool, forced: bool) -> ActiveTrace {
-        let unix_start_us = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_micros() as u64)
-            .unwrap_or(0)
-            .saturating_sub(origin.elapsed().as_micros() as u64);
+        let mut spans = SPAN_BUFFERS
+            .try_with(|pool| pool.try_borrow_mut().ok().and_then(|mut pool| pool.pop()))
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Vec::with_capacity(SPAN_CAPACITY));
+        spans.push(RawSpan {
+            parent: 0,
+            stage: Stage::Request,
+            start_us: 0,
+            duration_us: 0,
+            note: None,
+        });
         ActiveTrace {
             id,
             origin,
-            unix_start_us,
             sampled,
             forced,
-            spans: vec![TraceSpan {
-                id: 0,
-                parent: None,
-                stage: Stage::Request,
-                start_us: 0,
-                duration_us: 0,
-                note: None,
-            }],
-            stack: vec![0],
-            next: 1,
+            spans,
+            innermost: 0,
         }
     }
 
@@ -326,21 +453,25 @@ impl ActiveTrace {
         at.saturating_duration_since(self.origin).as_micros() as u64
     }
 
+    /// Appends a span under the innermost open span; returns its id.
+    fn push(&mut self, stage: Stage, start_us: u64, duration_us: u64, note: Option<Note>) -> u32 {
+        let id = self.spans.len() as u32;
+        self.spans.push(RawSpan {
+            parent: self.innermost,
+            stage,
+            start_us,
+            duration_us,
+            note,
+        });
+        id
+    }
+
     /// Opens a span now, nested under the innermost open span. Returns
     /// the span id to pass to [`ActiveTrace::end`].
     pub fn begin(&mut self, stage: Stage) -> u32 {
-        let id = self.next;
-        self.next += 1;
-        let parent = self.stack.last().copied();
-        self.spans.push(TraceSpan {
-            id,
-            parent,
-            stage,
-            start_us: self.offset_us(Instant::now()),
-            duration_us: 0,
-            note: None,
-        });
-        self.stack.push(id);
+        let start_us = self.offset_us(Instant::now());
+        let id = self.push(stage, start_us, 0, None);
+        self.innermost = id;
         id
     }
 
@@ -351,35 +482,33 @@ impl ActiveTrace {
     }
 
     /// Closes an open span and attaches a note.
-    pub fn end_with_note(&mut self, span_id: u32, note: String) {
-        self.end_at(span_id, Instant::now(), Some(note));
+    pub fn end_with_note(&mut self, span_id: u32, note: impl Into<Note>) {
+        self.end_at(span_id, Instant::now(), Some(note.into()));
     }
 
-    fn end_at(&mut self, span_id: u32, at: Instant, note: Option<String>) {
+    /// Closes open spans from the innermost outwards until `span_id`.
+    /// The root is never closed here; a `span_id` that is not open
+    /// closes every open span below the root.
+    fn end_at(&mut self, span_id: u32, at: Instant, note: Option<Note>) {
         let end = self.offset_us(at);
-        while let Some(open) = self.stack.pop() {
-            if open == 0 {
-                // Never implicitly close the root; put it back.
-                self.stack.push(0);
-                break;
-            }
-            if let Some(span) = self.spans.iter_mut().find(|s| s.id == open) {
-                span.duration_us = end.saturating_sub(span.start_us);
-                if open == span_id {
-                    span.note = note;
-                    return;
-                }
-            }
+        while self.innermost != 0 {
+            let open = self.innermost;
+            let span = &mut self.spans[open as usize];
+            span.duration_us = end.saturating_sub(span.start_us);
+            let parent = span.parent;
             if open == span_id {
+                span.note = note;
+                self.innermost = parent;
                 return;
             }
+            self.innermost = parent;
         }
     }
 
     /// Records an already-measured interval as a closed span nested
     /// under the innermost open span.
     pub fn record(&mut self, stage: Stage, start: Instant, end: Instant) -> u32 {
-        self.record_note(stage, start, end, None)
+        self.record_span(stage, start, end, None)
     }
 
     /// [`ActiveTrace::record`] with a note attached.
@@ -388,41 +517,96 @@ impl ActiveTrace {
         stage: Stage,
         start: Instant,
         end: Instant,
-        note: Option<String>,
+        note: impl Into<Note>,
     ) -> u32 {
-        let id = self.next;
-        self.next += 1;
+        self.record_span(stage, start, end, Some(note.into()))
+    }
+
+    fn record_span(
+        &mut self,
+        stage: Stage,
+        start: Instant,
+        end: Instant,
+        note: Option<Note>,
+    ) -> u32 {
         let start_us = self.offset_us(start);
         let end_us = self.offset_us(end);
-        self.spans.push(TraceSpan {
-            id,
-            parent: self.stack.last().copied(),
-            stage,
-            start_us,
-            duration_us: end_us.saturating_sub(start_us),
-            note,
-        });
-        id
+        self.push(stage, start_us, end_us.saturating_sub(start_us), note)
+    }
+
+    /// Closes every still-open span, the root included, at `now`;
+    /// returns the root's duration.
+    fn close_all(&mut self, now: Instant) -> u64 {
+        let end = self.offset_us(now);
+        let mut open = self.innermost;
+        loop {
+            let span = &mut self.spans[open as usize];
+            span.duration_us = end.saturating_sub(span.start_us);
+            if open == 0 {
+                break;
+            }
+            open = span.parent;
+        }
+        self.innermost = 0;
+        end
+    }
+
+    /// The immutable trace, notes rendered to text. Only here is the
+    /// wall clock read: the origin's stamp is now minus the time since.
+    fn build_trace(&mut self, total_us: u64, slow_us: u64) -> Trace {
+        let unix_now_us = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(0);
+        let unix_start_us = unix_now_us.saturating_sub(self.origin.elapsed().as_micros() as u64);
+        let spans = self
+            .spans
+            .drain(..)
+            .enumerate()
+            .map(|(i, span)| TraceSpan {
+                id: i as u32,
+                parent: (i > 0).then_some(span.parent),
+                stage: span.stage,
+                start_us: span.start_us,
+                duration_us: span.duration_us,
+                note: span.note.map(|note| note.to_string()),
+            })
+            .collect();
+        Trace {
+            id: self.id,
+            unix_start_us,
+            total_us,
+            slow: slow_us > 0 && total_us >= slow_us,
+            sampled: self.sampled,
+            forced: self.forced,
+            spans,
+        }
     }
 
     /// Seals the trace: closes every still-open span (including the
     /// root) at `now` and stamps the slow flag against `slow_us`.
     pub fn finish(mut self, now: Instant, slow_us: u64) -> Trace {
-        let end = self.offset_us(now);
-        while let Some(open) = self.stack.pop() {
-            if let Some(span) = self.spans.iter_mut().find(|s| s.id == open) {
-                span.duration_us = end.saturating_sub(span.start_us);
-            }
+        let total_us = self.close_all(now);
+        self.build_trace(total_us, slow_us)
+    }
+
+    /// Seals the trace as [`ActiveTrace::finish`] does, hands every
+    /// span's stage and duration to `per_span`, and builds the
+    /// [`Trace`] only when it is kept: head-sampled, forced, or slow
+    /// against `slow_us`. A trace that is not kept costs no allocation
+    /// and no formatting.
+    pub fn seal(
+        mut self,
+        now: Instant,
+        slow_us: u64,
+        mut per_span: impl FnMut(Stage, u64),
+    ) -> Option<Trace> {
+        let total_us = self.close_all(now);
+        for span in &self.spans {
+            per_span(span.stage, span.duration_us);
         }
-        Trace {
-            id: self.id,
-            unix_start_us: self.unix_start_us,
-            total_us: end,
-            slow: slow_us > 0 && end >= slow_us,
-            sampled: self.sampled,
-            forced: self.forced,
-            spans: self.spans,
-        }
+        let slow = slow_us > 0 && total_us >= slow_us;
+        (self.sampled || self.forced || slow).then(|| self.build_trace(total_us, slow_us))
     }
 }
 
@@ -602,10 +786,168 @@ mod tests {
     }
 
     #[test]
+    fn hex_digits_are_the_zero_padded_lowercase_wire_form() {
+        for raw in [1u64, 0xc0ffee, 0x0123_4567_89ab_cdef, u64::MAX] {
+            let id = TraceId::from_raw(raw).unwrap();
+            let expected = format!("{raw:016x}");
+            assert_eq!(id.hex_digits().as_slice(), expected.as_bytes());
+            assert_eq!(id.to_hex(), expected);
+            assert_eq!(id.to_string(), expected);
+        }
+    }
+
+    #[test]
+    fn notes_render_their_raw_values() {
+        let addr: SocketAddr = "127.0.0.1:4100".parse().unwrap();
+        for (note, text) in [
+            (
+                Note::Load {
+                    queued: 0,
+                    in_flight: 1,
+                    watermark: 256,
+                },
+                "queued=0 in_flight=1 watermark=256",
+            ),
+            (Note::Cache(CacheStatus::CacheHit), "cache=CacheHit"),
+            (Note::Cache(CacheStatus::Miss), "cache=Miss"),
+            (Note::Status(200), "status=200"),
+            (
+                Note::Route {
+                    owner: addr,
+                    attempt: 0,
+                },
+                "owner=127.0.0.1:4100 attempt=0",
+            ),
+            (
+                Note::Forward {
+                    replica: addr,
+                    status: 503,
+                    attempt: 2,
+                },
+                "replica=127.0.0.1:4100 status=503 attempt=2",
+            ),
+            (Note::Text("contracts=3".to_string()), "contracts=3"),
+        ] {
+            assert_eq!(note.to_string(), text);
+        }
+    }
+
+    #[test]
+    fn spans_past_the_buffer_capacity_keep_their_order_and_parents() {
+        let mut at = ActiveTrace::start(TraceId::generate(), Instant::now(), true, false);
+        let handler = at.begin(Stage::Handler);
+        for attempt in 0..3 * SPAN_CAPACITY {
+            let now = Instant::now();
+            at.record_note(Stage::Forward, now, now, format!("attempt={attempt}"));
+        }
+        let inner = at.begin(Stage::Score);
+        at.end(inner);
+        at.end_with_note(handler, Note::Status(503));
+        let trace = at.finish(Instant::now(), 0);
+        assert_eq!(trace.spans.len(), 3 * SPAN_CAPACITY + 3);
+        for (i, span) in trace.spans.iter().enumerate() {
+            assert_eq!(span.id as usize, i);
+        }
+        let forwards: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::Forward)
+            .collect();
+        assert_eq!(forwards.len(), 3 * SPAN_CAPACITY);
+        for (attempt, span) in forwards.iter().enumerate() {
+            assert_eq!(span.parent, Some(handler));
+            assert_eq!(
+                span.note.as_deref(),
+                Some(format!("attempt={attempt}").as_str())
+            );
+        }
+        let score = trace.span_of(Stage::Score).unwrap();
+        assert_eq!(score.id, inner);
+        assert_eq!(score.parent, Some(handler));
+        assert_eq!(
+            trace.span_of(Stage::Handler).unwrap().note.as_deref(),
+            Some("status=503")
+        );
+        assert!(trace.nesting_consistent());
+    }
+
+    #[test]
+    fn a_dropped_trace_hands_its_buffer_to_the_next_on_its_thread() {
+        let first = ActiveTrace::start(TraceId::generate(), Instant::now(), false, false);
+        let buffer = first.spans.as_ptr();
+        assert!(first.spans.capacity() >= SPAN_CAPACITY);
+        assert!(first.seal(Instant::now(), 0, |_, _| {}).is_none());
+        let second = ActiveTrace::start(TraceId::generate(), Instant::now(), false, false);
+        assert_eq!(second.spans.as_ptr(), buffer, "the buffer is reused");
+        assert_eq!(second.spans.len(), 1, "holding only the new root");
+        let kept = second.finish(Instant::now(), 0);
+        assert_eq!(kept.spans.len(), 1);
+        let third = ActiveTrace::start(TraceId::generate(), Instant::now(), true, false);
+        assert_eq!(third.spans.as_ptr(), buffer, "a kept trace returns it too");
+    }
+
+    #[test]
+    fn ending_a_span_that_is_not_open_closes_all_but_the_root() {
+        let mut at = ActiveTrace::start(TraceId::generate(), Instant::now(), true, false);
+        let outer = at.begin(Stage::Handler);
+        let inner = at.begin(Stage::Score);
+        at.end(inner);
+        std::thread::sleep(Duration::from_millis(2));
+        at.end(inner); // already closed: closes the handler instead
+        let after = at.begin(Stage::Serialize);
+        std::thread::sleep(Duration::from_millis(2));
+        let trace = at.finish(Instant::now(), 0);
+        let handler = &trace.spans[outer as usize];
+        assert!(handler.duration_us >= 2_000, "closed by the second end");
+        let serialize = &trace.spans[after as usize];
+        assert_eq!(serialize.parent, Some(0));
+        assert!(
+            serialize.start_us >= handler.start_us + handler.duration_us,
+            "the handler closed before the serialize span opened"
+        );
+    }
+
+    #[test]
+    fn seal_reports_every_span_but_builds_only_kept_traces() {
+        let origin = Instant::now() - Duration::from_millis(2);
+        let traced = |sampled, forced| {
+            let mut at = ActiveTrace::start(TraceId::generate(), origin, sampled, forced);
+            let handler = at.begin(Stage::Handler);
+            at.end_with_note(handler, Note::Status(200));
+            at
+        };
+        for (sampled, forced, slow_us, kept) in [
+            (false, false, 0, false),
+            (false, false, 60_000_000, false),
+            (false, false, 1_000, true),
+            (true, false, 0, true),
+            (false, true, 0, true),
+        ] {
+            let mut seen = Vec::new();
+            let sealed = traced(sampled, forced)
+                .seal(Instant::now(), slow_us, |stage, us| seen.push((stage, us)));
+            let stages: Vec<Stage> = seen.iter().map(|&(stage, _)| stage).collect();
+            assert_eq!(stages, [Stage::Request, Stage::Handler]);
+            assert!(seen[0].1 >= 2_000, "the root spans the whole request");
+            assert_eq!(sealed.is_some(), kept, "sampled={sampled} forced={forced}");
+            if let Some(trace) = sealed {
+                assert_eq!(trace.total_us, seen[0].1);
+                assert_eq!(trace.slow, slow_us == 1_000);
+                let h = trace.span_of(Stage::Handler).unwrap();
+                assert_eq!(h.note.as_deref(), Some("status=200"));
+                assert!(trace.unix_start_us > 0);
+            }
+        }
+    }
+
+    #[test]
     fn finish_closes_open_spans_and_flags_slow() {
         let origin = Instant::now() - Duration::from_millis(10);
         let mut at = ActiveTrace::start(TraceId::generate(), origin, false, false);
         let handler = at.begin(Stage::Handler);
+        // Recording allocates nothing, so without a pause the handler
+        // can open and close inside one microsecond.
+        std::thread::sleep(Duration::from_millis(1));
         let trace = at.finish(Instant::now(), 1_000);
         assert!(trace.slow, "10ms trace must trip a 1ms threshold");
         assert!(trace.total_us >= 10_000);

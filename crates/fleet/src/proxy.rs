@@ -35,7 +35,7 @@
 use crate::breaker::BreakerConfig;
 use crate::health::{FleetState, HealthMonitor};
 use scamdetect::detect_platform;
-use scamdetect::trace::{Stage, TraceId};
+use scamdetect::trace::{Note, Stage, TraceId};
 use scamdetect_serve::client::{ClientResponse, HttpClient};
 use scamdetect_serve::http::{
     HttpConfig, HttpRequest, HttpResponse, HttpServer, ServerStats, ShutdownHandle, TraceHub,
@@ -435,33 +435,28 @@ fn remaining_budget(deadline: Instant) -> Option<Duration> {
     (remaining >= Duration::from_millis(1)).then_some(remaining)
 }
 
-/// Re-emits a replica reply through the router's own JSON writer. The
-/// writer round-trips `f64` bit-exactly, so a routed score equals the
-/// direct one to the last bit. Backpressure statuses re-attach
-/// `Retry-After` (the replica's copy of the header does not survive
-/// the hop). Callers validate the body with [`reply_is_sound`] first —
-/// by the time a reply reaches here it is known-parseable JSON.
-fn passthrough(ctx: &RouterCtx, reply: &ClientResponse) -> HttpResponse {
-    let response = match Json::parse(&reply.body) {
-        Ok(parsed) => HttpResponse::json(reply.status, &parsed),
-        Err(_) => HttpResponse::text(reply.status, reply.body.clone()),
-    };
-    if matches!(reply.status, 408 | 429 | 503) {
+/// Re-emits a replica reply, parsed by [`sound_body`], through the
+/// router's own JSON writer. The writer round-trips `f64` bit-exactly,
+/// so a routed score equals the direct one to the last bit.
+/// Backpressure statuses re-attach `Retry-After` (the replica's copy of
+/// the header does not survive the hop).
+fn passthrough(ctx: &RouterCtx, status: u16, body: &Json) -> HttpResponse {
+    let response = HttpResponse::json(status, body);
+    if matches!(status, 408 | 429 | 503) {
         response.with_header("Retry-After", ctx.retry_after_s.to_string())
     } else {
         response
     }
 }
 
-/// Is a replica reply fit to pass through? A torn, truncated or
-/// corrupted body must read as a *transport* failure (feed the breaker,
-/// re-route), never reach the client: the body must parse as JSON, and
-/// a `200` scan verdict must actually carry a `score`.
-fn reply_is_sound(path: &str, reply: &ClientResponse) -> bool {
-    match Json::parse(&reply.body) {
-        Ok(parsed) => reply.status != 200 || path != "/scan" || parsed.get("score").is_some(),
-        Err(_) => false,
-    }
+/// A replica reply's body, parsed, if the reply is fit to pass through.
+/// A torn, truncated or corrupted body must read as a *transport*
+/// failure (feed the breaker, re-route), never reach the client: the
+/// body must parse as JSON, and a `200` scan verdict must actually
+/// carry a `score`.
+fn sound_body(path: &str, reply: &ClientResponse) -> Option<Json> {
+    let parsed = Json::parse(&reply.body).ok()?;
+    (reply.status != 200 || path != "/scan" || parsed.get("score").is_some()).then_some(parsed)
 }
 
 /// Forwards `body` to the owner of `key` within the request's deadline
@@ -481,12 +476,18 @@ fn forward_owned(
     // The replica treats a client-sent `x-trace-id` as *forced* capture,
     // so a trace the router kept is guaranteed to have its child spans
     // kept replica-side — that is what makes stitching deterministic.
-    let trace_hex = request.trace_id().map(|id| id.to_hex());
-    let forward_headers: Vec<(&str, &str)> = trace_hex
-        .as_deref()
-        .map(|hex| ("x-trace-id", hex))
-        .into_iter()
-        .collect();
+    let trace_digits = request.trace_id().map(TraceId::hex_digits);
+    let trace_header;
+    let forward_headers: &[(&str, &str)] = match &trace_digits {
+        Some(digits) => {
+            trace_header = [(
+                "x-trace-id",
+                std::str::from_utf8(digits).expect("hex digits are ASCII"),
+            )];
+            &trace_header
+        }
+        None => &[],
+    };
     let (_, total) = ctx.state.up_counts();
     let max_attempts = total * ctx.attempts_per_replica + 1;
     for attempt in 0..max_attempts {
@@ -497,19 +498,28 @@ fn forward_owned(
         let Some((owner_id, owner_addr)) = ctx.state.owner_of(key) else {
             return unavailable(ctx);
         };
+        // A replica's ring id is its address, so the note keeps the
+        // address and renders the id only if the trace is kept.
         request.trace_record_note(
             Stage::Route,
             attempt_start,
             Instant::now(),
-            format!("owner={owner_id} attempt={attempt}"),
+            Note::Route {
+                owner: owner_addr,
+                attempt,
+            },
         );
         let timeout = remaining.min(ctx.forward_timeout);
         let forward_start = Instant::now();
         let outcome = ctx
             .pool
-            .roundtrip(owner_addr, "POST", path, body, timeout, &forward_headers);
-        match outcome {
-            Ok(reply) if reply_is_sound(path, &reply) => {
+            .roundtrip(owner_addr, "POST", path, body, timeout, forward_headers);
+        let sound = outcome
+            .as_ref()
+            .ok()
+            .and_then(|reply| sound_body(path, reply));
+        match (outcome, sound) {
+            (Ok(reply), Some(parsed)) => {
                 // Note format is a contract: `scamdetect-cli trace`
                 // parses `replica=<addr>` to find the owning replica's
                 // child spans.
@@ -517,10 +527,11 @@ fn forward_owned(
                     Stage::Forward,
                     forward_start,
                     Instant::now(),
-                    format!(
-                        "replica={owner_addr} status={} attempt={attempt}",
-                        reply.status
-                    ),
+                    Note::Forward {
+                        replica: owner_addr,
+                        status: reply.status,
+                        attempt,
+                    },
                 );
                 ctx.state.record_success(&owner_id);
                 if attempt > 0 {
@@ -532,9 +543,9 @@ fn forward_owned(
                         format!("attempts={}", attempt + 1),
                     );
                 }
-                return passthrough(ctx, &reply);
+                return passthrough(ctx, reply.status, &parsed);
             }
-            outcome => {
+            (outcome, _) => {
                 let detail = match &outcome {
                     Ok(reply) => format!(
                         "replica={owner_addr} status={} attempt={attempt} unsound",

@@ -18,7 +18,10 @@
 //!   totals fit inside the wire-observed latency (plus scheduling
 //!   slack);
 //! * `/trace/recent` lists the trace, an unknown id answers 404, and a
-//!   tracing-disabled daemon answers 409.
+//!   tracing-disabled daemon answers 409;
+//! * forced traces of a daemon miss, a daemon hit and a routed scan
+//!   read back every note's exact text: admission load, cache status,
+//!   handler status, and the router's owner and forward notes.
 //!
 //! The transport is env-driven (`SCAMDETECT_TRANSPORT`), so CI re-runs
 //! this same body under the epoll backend.
@@ -27,6 +30,7 @@ use scamdetect::trace::TraceId;
 use scamdetect_fleet::proxy::{spawn_router, RouterConfig};
 use scamdetect_serve::client::{http_call, HttpClient};
 use scamdetect_serve::daemon::{spawn, RunningDaemon, ServeConfig};
+use scamdetect_serve::http::HttpConfig;
 use scamdetect_serve::json::Json;
 use scamdetect_serve::wire::encode_hex;
 use std::net::SocketAddr;
@@ -324,6 +328,121 @@ fn tracing_disabled_daemon_answers_409_and_samples_nothing() {
     assert_eq!(reply.status, 200, "{}", reply.body);
     assert_eq!(reply.header("x-trace-id"), None);
 
+    replica.stop().expect("clean replica shutdown");
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// The body of a never-seen contract: the first contract of the corpus
+/// generated from `seed`.
+fn contract_body(seed: u64) -> String {
+    let corpus = scamdetect_dataset::Corpus::generate(&scamdetect_dataset::CorpusConfig {
+        size: 1,
+        seed,
+        ..scamdetect_dataset::CorpusConfig::default()
+    });
+    format!(
+        r#"{{"bytecode": "{}"}}"#,
+        encode_hex(&corpus.contracts()[0].bytes)
+    )
+}
+
+/// Sends `body` to `/scan` at `addr` with a forced trace id; returns the
+/// id's hex after checking the response echoes it.
+fn forced_scan(addr: SocketAddr, body: &str, raw_id: u64) -> String {
+    let hex = TraceId::from_raw(raw_id).expect("nonzero id").to_hex();
+    let mut client = HttpClient::connect(addr).expect("client connects");
+    let reply = client
+        .request_raw("POST", "/scan", body.as_bytes(), &[("x-trace-id", &hex)])
+        .expect("scan answers");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(reply.header("x-trace-id"), Some(hex.as_str()));
+    hex
+}
+
+/// The note of the one span tagged `stage`.
+fn note_of<'a>(spans: &'a [Span], stage: &str, who: &str) -> &'a str {
+    let mut tagged = spans.iter().filter(|s| s.stage == stage);
+    let span = tagged
+        .next()
+        .unwrap_or_else(|| panic!("{who}: no {stage} span in {:?}", stage_set(spans)));
+    assert!(tagged.next().is_none(), "{who}: more than one {stage} span");
+    span.note
+        .as_deref()
+        .unwrap_or_else(|| panic!("{who}: the {stage} span has no note"))
+}
+
+/// An admission note reads exactly `queued=<n> in_flight=<n>
+/// watermark=<w>`, with the configured watermark.
+fn assert_admission_note(note: &str, watermark: usize, who: &str) {
+    let fields: Vec<&str> = note.split(' ').collect();
+    let value = |i: usize, key: &str| -> usize {
+        fields
+            .get(i)
+            .and_then(|f| f.strip_prefix(key))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{who}: admission note {note:?} lacks {key}<n>"))
+    };
+    let (queued, in_flight) = (value(0, "queued="), value(1, "in_flight="));
+    assert_eq!(value(2, "watermark="), watermark, "{who}: {note}");
+    assert_eq!(
+        note,
+        format!("queued={queued} in_flight={in_flight} watermark={watermark}"),
+        "{who}: admission note"
+    );
+}
+
+#[test]
+fn forced_traces_read_back_exact_notes_on_hit_miss_and_routed_scans() {
+    let base = std::env::temp_dir().join(format!("scamdetect-trace-notes-{}", std::process::id()));
+    let replica = spawn_replica(&base.join("models"), 16);
+    let router = spawn_router(RouterConfig {
+        replicas: vec![replica.addr],
+        probe_interval: Duration::from_millis(100),
+        probe_timeout: Duration::from_millis(150),
+        ..RouterConfig::default()
+    })
+    .expect("router spawns");
+    // Both the daemon and the router run the default watermark.
+    let watermark = HttpConfig::default().shed_watermark;
+    let body = contract_body(0x7E57);
+
+    // A daemon miss, then a daemon hit on the same contract.
+    for (raw_id, cache, scores) in [
+        (0xA11CE, "cache=Miss", true),
+        (0xB0B, "cache=CacheHit", false),
+    ] {
+        let hex = forced_scan(replica.addr, &body, raw_id);
+        let spans = spans_of(&fetch_trace(replica.addr, &hex));
+        let who = format!("replica {cache}");
+        assert_admission_note(note_of(&spans, "admission", &who), watermark, &who);
+        assert_eq!(note_of(&spans, "cache_lookup", &who), cache);
+        assert_eq!(note_of(&spans, "handler", &who), "status=200");
+        assert_eq!(stage_set(&spans).contains(&"score"), scores, "{who}");
+        assert_nesting_consistent(&spans, &who);
+    }
+
+    // A routed scan of a never-seen contract: the router's notes name
+    // the owner and the replica, the replica's its own miss.
+    let hex = forced_scan(router.addr, &contract_body(0x7E58), 0xC0DE);
+    let spans = spans_of(&fetch_trace(router.addr, &hex));
+    assert_admission_note(note_of(&spans, "admission", "router"), watermark, "router");
+    assert_eq!(
+        note_of(&spans, "route", "router"),
+        format!("owner={} attempt=0", replica.addr)
+    );
+    assert_eq!(
+        note_of(&spans, "forward", "router"),
+        format!("replica={} status=200 attempt=0", replica.addr)
+    );
+    assert_eq!(note_of(&spans, "handler", "router"), "status=200");
+    let spans = spans_of(&fetch_trace(replica.addr, &hex));
+    assert_eq!(
+        note_of(&spans, "cache_lookup", "routed replica"),
+        "cache=Miss"
+    );
+    assert_eq!(note_of(&spans, "handler", "routed replica"), "status=200");
+
+    router.stop().expect("clean router shutdown");
     replica.stop().expect("clean replica shutdown");
     std::fs::remove_dir_all(&base).ok();
 }

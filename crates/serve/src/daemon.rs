@@ -38,7 +38,7 @@ use crate::registry::{
 };
 use crate::wire;
 use scamdetect::lifecycle::{FeedbackLog, FeedbackRecord, FEEDBACK_FSYNC_EVERY};
-use scamdetect::trace::{Stage, TraceId};
+use scamdetect::trace::{Note, Stage, TraceId};
 use scamdetect::ScanRequest;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -450,7 +450,7 @@ fn handle_scan(registry: &ModelRegistry, metrics: &Metrics, request: &HttpReques
                     Stage::CacheLookup,
                     started,
                     score_start,
-                    format!("cache={:?}", report.cache),
+                    Note::Cache(report.cache),
                 );
                 if !report.elapsed.is_zero() {
                     request.trace_record(Stage::Score, score_start, scanned_at);
@@ -477,9 +477,9 @@ fn handle_scan(registry: &ModelRegistry, metrics: &Metrics, request: &HttpReques
                 );
             }
             let serialize_start = Instant::now();
-            let response = HttpResponse::json(200, &wire::render_report(&report, &model));
+            let body = wire::render_report(&report, &model).render();
             request.trace_record(Stage::Serialize, serialize_start, Instant::now());
-            response
+            HttpResponse::json_rendered(200, body)
         }
         Err(e) => {
             metrics.scan_failures.fetch_add(1, Ordering::Relaxed);
@@ -518,14 +518,10 @@ fn handle_batch(
     // error without failing its neighbours (mirroring ScanOutcome).
     let decoded: Vec<Result<wire::WireScanRequest, String>> =
         items.iter().map(wire::parse_scan_request).collect();
-    let scannable: Vec<(usize, &wire::WireScanRequest)> = decoded
+    let requests: Vec<ScanRequest> = decoded
         .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.as_ref().ok().map(|req| (i, req)))
-        .collect();
-    let requests: Vec<ScanRequest> = scannable
-        .iter()
-        .map(|(_, w)| {
+        .filter_map(|slot| slot.as_ref().ok())
+        .map(|w| {
             let mut scan = ScanRequest::new(&w.bytes);
             if let Some(platform) = w.platform {
                 scan = scan.on(platform);
@@ -553,21 +549,24 @@ fn handle_batch(
             (started.elapsed().as_micros() / requests.len() as u128).min(u128::from(u64::MAX));
         metrics.record_latency_us(per_contract_us as u64);
     }
+    drop(requests);
 
-    let mut results: Vec<Json> = decoded
-        .iter()
-        .map(|slot| match slot {
-            Ok(_) => Json::Null, // placeholder, filled below
+    // Scannable slots take their outcomes in order.
+    let shadow = registry.shadow();
+    let mut outcomes = outcomes.into_iter();
+    let mut results = Vec::with_capacity(decoded.len());
+    for slot in decoded {
+        let wire_request = match slot {
+            Ok(wire_request) => wire_request,
             Err(message) => {
                 metrics.scan_failures.fetch_add(1, Ordering::Relaxed);
-                obj([("error", Json::from(message.as_str()))])
+                results.push(Err(message));
+                continue;
             }
-        })
-        .collect();
-    let shadow = registry.shadow();
-    for ((slot, wire_request), outcome) in scannable.iter().zip(outcomes) {
+        };
         metrics.scans_total.fetch_add(1, Ordering::Relaxed);
-        results[*slot] = match outcome {
+        let outcome = outcomes.next().expect("one outcome per scannable slot");
+        results.push(match outcome {
             Ok(report) => {
                 let mut cache_hit = false;
                 match report.cache {
@@ -591,30 +590,23 @@ fn handle_batch(
                 );
                 if let Some(shadow) = &shadow {
                     shadow.submit(
-                        wire_request.bytes.clone(),
+                        wire_request.bytes,
                         wire_request.platform,
                         report.is_malicious(),
                         report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
                         &metrics.lifecycle,
                     );
                 }
-                wire::render_report(&report, &model)
+                Ok(report)
             }
             Err(e) => {
                 metrics.scan_failures.fetch_add(1, Ordering::Relaxed);
-                obj([("error", Json::from(format!("scan failed: {e}")))])
+                Err(format!("scan failed: {e}"))
             }
-        };
+        });
     }
     let serialize_start = Instant::now();
-    let response = HttpResponse::json(
-        200,
-        &obj([
-            ("model", Json::from(model.id.as_str())),
-            ("model_epoch", Json::from(model.epoch)),
-            ("results", Json::Arr(results)),
-        ]),
-    );
+    let response = HttpResponse::json_rendered(200, wire::render_batch(&results, &model));
     request.trace_record(Stage::Serialize, serialize_start, Instant::now());
     // The whole-request histogram (per endpoint) complements the
     // amortised per-contract sample recorded above.

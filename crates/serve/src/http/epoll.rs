@@ -104,7 +104,7 @@ mod linux {
     use std::sync::{mpsc, Arc, Mutex, PoisonError};
     use std::time::Instant;
 
-    use scamdetect::trace::{ActiveTrace, Stage};
+    use scamdetect::trace::{ActiveTrace, Note, Stage};
 
     use crate::http::parser::{Parsed, Phase, RequestParser};
     use crate::http::{
@@ -352,6 +352,10 @@ mod linux {
         job_tx: Option<mpsc::Sender<Job>>,
         shed_tx: Option<mpsc::Sender<TcpStream>>,
         completions: Arc<Mutex<Vec<Done>>>,
+        /// The completion list's other half: [`EventLoop::apply_completions`]
+        /// swaps it in for the workers' list and drains it, so neither
+        /// list reallocates once warm.
+        drained: Vec<Done>,
         connections: u64,
         requests: u64,
         /// Set once the listener has been deregistered for shutdown.
@@ -401,6 +405,7 @@ mod linux {
             job_tx: Some(job_tx),
             shed_tx: Some(shed_tx),
             completions: Arc::clone(&completions),
+            drained: Vec::new(),
             connections: 0,
             requests: 0,
             draining: false,
@@ -434,38 +439,36 @@ mod linux {
                     let dequeued = Instant::now();
                     load.queued.fetch_sub(1, Ordering::Relaxed);
                     load.in_flight.fetch_add(1, Ordering::Relaxed);
-                    if job.request.trace.is_some() {
-                        job.request
-                            .trace_record(Stage::QueueWait, job.queued_at, dequeued);
-                        job.request.trace_record_note(
+                    let handler_span = job.request.trace_mut().map(|at| {
+                        at.record(Stage::QueueWait, job.queued_at, dequeued);
+                        at.record_note(
                             Stage::Admission,
                             dequeued,
                             dequeued,
-                            format!(
-                                "queued={} in_flight={} watermark={}",
-                                load.queued.load(Ordering::Relaxed),
-                                load.in_flight.load(Ordering::Relaxed),
+                            Note::Load {
+                                queued: load.queued.load(Ordering::Relaxed),
+                                in_flight: load.in_flight.load(Ordering::Relaxed),
                                 watermark,
-                            ),
+                            },
                         );
-                    }
-                    let handler_span = job.request.trace_begin(Stage::Handler);
-                    let mut response =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            handler(&job.request)
-                        }))
-                        .unwrap_or_else(|_| HttpResponse::error(500, "handler panicked"));
+                        at.begin(Stage::Handler)
+                    });
+                    let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        handler(&job.request)
+                    }))
+                    .unwrap_or_else(|_| HttpResponse::error(500, "handler panicked"));
                     load.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    if let Some(id) = job.request.trace_id() {
-                        job.request
-                            .trace_end_note(handler_span, format!("status={}", response.status));
-                        response = response.with_header("x-trace-id", id.to_hex());
-                    }
                     let trace = job
                         .request
                         .trace
                         .take()
-                        .map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner));
+                        .map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner))
+                        .map(|mut at| {
+                            if let Some(span) = handler_span {
+                                at.end_with_note(span, Note::Status(response.status));
+                            }
+                            at
+                        });
                     completions
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
@@ -725,7 +728,9 @@ mod linux {
             // accept time would charge keep-alive idle to the request).
             let parsed_at = Instant::now();
             attach_trace(&self.trace, &mut request, received);
-            request.trace_record(Stage::Parse, received, parsed_at);
+            if let Some(at) = request.trace_mut() {
+                at.record(Stage::Parse, received, parsed_at);
+            }
             self.load.queued.fetch_add(1, Ordering::Relaxed);
             let sent = match &self.job_tx {
                 Some(tx) => tx
@@ -747,9 +752,12 @@ mod linux {
         /// Applies finished handler results, discarding any whose
         /// connection died (generation mismatch) in the meantime.
         fn apply_completions(&mut self) {
-            let done =
-                std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()));
-            for item in done {
+            let mut done = std::mem::take(&mut self.drained);
+            std::mem::swap(
+                &mut done,
+                &mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()),
+            );
+            for item in done.drain(..) {
                 let request_keep_alive = {
                     let Some(conn) = self.slots.get_mut(item.slot).and_then(Option::as_mut) else {
                         continue;
@@ -778,6 +786,7 @@ mod linux {
                 };
                 self.start_write(item.slot, &item.response, keep_alive, then, item.trace);
             }
+            self.drained = done;
         }
 
         /// A protocol rejection (431/413/411/400/408): count it, write
@@ -804,7 +813,8 @@ mod linux {
                     return;
                 };
                 conn.state = State::Writing {
-                    buf: encode_response(response, keep_alive),
+                    // A traced response echoes its id in `x-trace-id`.
+                    buf: encode_response(response, keep_alive, trace.as_ref().map(ActiveTrace::id)),
                     off: 0,
                     then,
                     trace: trace.map(|active| (active, Instant::now())),

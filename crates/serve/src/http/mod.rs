@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::metrics::LatencyHistogram;
-use scamdetect::trace::{ActiveTrace, Sampler, Stage, Trace, TraceId, TraceRing};
+use scamdetect::trace::{ActiveTrace, Note, Sampler, Stage, Trace, TraceId, TraceRing};
 
 /// Which connection backend a server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -397,6 +397,12 @@ pub struct LoadGauge {
 /// *keeping* is sampled/slow/forced). One hub per [`HttpServer`],
 /// shared by the transport, the route handler (for `/trace/*`) and the
 /// metrics scrape.
+///
+/// Every request of a traced server pays for an id, a span collector
+/// carried inside the request (no heap allocation, no formatting) and
+/// the stage-histogram updates at finish. Only a kept trace pays for
+/// the immutable [`Trace`]: its span list, its note texts, a wall-clock
+/// read and a ring slot.
 #[derive(Debug)]
 pub struct TraceHub {
     sampler: Sampler,
@@ -448,16 +454,16 @@ impl TraceHub {
     }
 
     /// Seals a trace: folds every span into the per-stage histograms,
-    /// then keeps it in the ring iff head-sampled, slow, or forced.
-    pub fn finish(&self, active: ActiveTrace) -> Arc<Trace> {
-        let trace = Arc::new(active.finish(Instant::now(), self.sampler.slow_us()));
-        for span in &trace.spans {
-            self.stage_hist[span.stage.index()].record_with_trace(span.duration_us, Some(trace.id));
+    /// then keeps it in the ring iff head-sampled, slow, or forced. A
+    /// trace that is not kept is never built.
+    pub fn finish(&self, active: ActiveTrace) {
+        let id = Some(active.id());
+        let kept = active.seal(Instant::now(), self.sampler.slow_us(), |stage, us| {
+            self.stage_hist[stage.index()].record_with_trace(us, id)
+        });
+        if let Some(trace) = kept {
+            self.ring.push(Arc::new(trace));
         }
-        if trace.sampled || trace.slow || trace.forced {
-            self.ring.push(Arc::clone(&trace));
-        }
-        trace
     }
 
     /// Newest-first snapshot of up to `limit` kept traces.
@@ -537,30 +543,17 @@ impl HttpRequest {
             .map(|cell| f(&mut cell.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
+    /// The span collector, when traced, without taking its lock: the
+    /// transport owns the request outside the handler.
+    pub(crate) fn trace_mut(&mut self) -> Option<&mut ActiveTrace> {
+        self.trace
+            .as_mut()
+            .map(|cell| cell.get_mut().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// This request's trace id, when traced.
     pub fn trace_id(&self) -> Option<TraceId> {
         self.with_trace(|at| at.id())
-    }
-
-    /// Opens a span under the innermost open span; pair with
-    /// [`HttpRequest::trace_end`]. No-op (returns `None`) when the
-    /// request is untraced.
-    pub fn trace_begin(&self, stage: Stage) -> Option<u32> {
-        self.with_trace(|at| at.begin(stage))
-    }
-
-    /// Closes a span opened by [`HttpRequest::trace_begin`].
-    pub fn trace_end(&self, span: Option<u32>) {
-        if let Some(id) = span {
-            self.with_trace(|at| at.end(id));
-        }
-    }
-
-    /// Closes a span and attaches a note.
-    pub fn trace_end_note(&self, span: Option<u32>, note: String) {
-        if let Some(id) = span {
-            self.with_trace(|at| at.end_with_note(id, note));
-        }
     }
 
     /// Records an already-measured interval as a closed child span.
@@ -569,8 +562,14 @@ impl HttpRequest {
     }
 
     /// [`HttpRequest::trace_record`] with a note.
-    pub fn trace_record_note(&self, stage: Stage, start: Instant, end: Instant, note: String) {
-        self.with_trace(|at| at.record_note(stage, start, end, Some(note)));
+    pub fn trace_record_note(
+        &self,
+        stage: Stage,
+        start: Instant,
+        end: Instant,
+        note: impl Into<Note>,
+    ) {
+        self.with_trace(|at| at.record_note(stage, start, end, note));
     }
 }
 
@@ -597,6 +596,16 @@ impl HttpResponse {
             content_type: "application/json",
             headers: Vec::new(),
             body: value.render().into_bytes(),
+        }
+    }
+
+    /// A JSON response whose body is already rendered.
+    pub fn json_rendered(status: u16, body: String) -> HttpResponse {
+        HttpResponse {
+            status,
+            content_type: "application/json",
+            headers: Vec::new(),
+            body: body.into_bytes(),
         }
     }
 
@@ -938,7 +947,7 @@ pub(crate) fn shed_connection(mut stream: TcpStream, retry_after_s: u32) {
     let _ = stream.set_nodelay(true);
     let response = HttpResponse::error(429, "server saturated; retry later")
         .with_header("Retry-After", retry_after_s.to_string());
-    let _ = write_response(&mut stream, &response, false);
+    let _ = write_response(&mut stream, &response, false, None);
     finish_rejected(&mut stream, DrainBudget::for_shed());
 }
 
@@ -946,23 +955,58 @@ pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// Serializes the status line, framing headers, extras and body —
-/// the one wire encoding both transports emit.
-pub(crate) fn encode_response(response: &HttpResponse, keep_alive: bool) -> Vec<u8> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+/// Head bytes of every response besides its variable parts: the status
+/// line, the three framing headers and the blank line, with room for a
+/// five-digit status and a twenty-digit length.
+const HEAD_FIXED_BYTES: usize =
+    "HTTP/1.1 00000 \r\nContent-Type: \r\nContent-Length: \r\nConnection: \r\n\r\n".len() + 20;
+
+/// The `x-trace-id` header line with its 16 digits.
+const TRACE_HEADER_BYTES: usize = "x-trace-id: \r\n".len() + 16;
+
+/// Serializes the status line, framing headers, extras, the request's
+/// `x-trace-id` (after the extras, when the request is traced) and the
+/// body into one buffer sized up front — the one wire encoding both
+/// transports emit.
+pub(crate) fn encode_response(
+    response: &HttpResponse,
+    keep_alive: bool,
+    trace: Option<TraceId>,
+) -> Vec<u8> {
+    use std::io::Write as _;
+    let reason = status_reason(response.status);
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let extras: usize = response
+        .headers
+        .iter()
+        .map(|(name, value)| name.len() + ": \r\n".len() + value.len())
+        .sum();
+    let mut out = Vec::with_capacity(
+        HEAD_FIXED_BYTES
+            + reason.len()
+            + response.content_type.len()
+            + connection.len()
+            + extras
+            + trace.map_or(0, |_| TRACE_HEADER_BYTES)
+            + response.body.len(),
+    );
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         response.status,
-        status_reason(response.status),
         response.content_type,
         response.body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
     );
     for (name, value) in &response.headers {
-        use std::fmt::Write as _;
-        let _ = write!(head, "{name}: {value}\r\n");
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
+    if let Some(id) = trace {
+        out.extend_from_slice(b"x-trace-id: ");
+        out.extend_from_slice(&id.hex_digits());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(&response.body);
     out
 }
@@ -971,8 +1015,9 @@ pub(crate) fn write_response(
     stream: &mut TcpStream,
     response: &HttpResponse,
     keep_alive: bool,
+    trace: Option<TraceId>,
 ) -> std::io::Result<()> {
-    stream.write_all(&encode_response(response, keep_alive))?;
+    stream.write_all(&encode_response(response, keep_alive, trace))?;
     stream.flush()
 }
 
@@ -1345,6 +1390,76 @@ mod tests {
             .shed_watermark(0)
             .build()
             .is_ok());
+    }
+
+    /// The encoder as it was: a `format!`ed head, each extra header
+    /// `write!`n after it, the trace id pushed as the last extra.
+    fn reference_encode(
+        response: &HttpResponse,
+        keep_alive: bool,
+        trace: Option<TraceId>,
+    ) -> Vec<u8> {
+        use std::fmt::Write as _;
+        let mut headers = response.headers.clone();
+        if let Some(id) = trace {
+            headers.push(("x-trace-id", id.to_hex()));
+        }
+        let mut head = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            response.status,
+            status_reason(response.status),
+            response.content_type,
+            response.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
+        );
+        for (name, value) in &headers {
+            let _ = write!(head, "{name}: {value}\r\n");
+        }
+        head.push_str("\r\n");
+        let mut out = head.into_bytes();
+        out.extend_from_slice(&response.body);
+        out
+    }
+
+    #[test]
+    fn encoder_matches_the_formatted_head_in_one_allocation() {
+        let bodies = [
+            String::new(),
+            "{\"score\":0.5}".to_string(),
+            "x".repeat(70_000),
+        ];
+        let statuses = [200, 404, 429, 503, 0, 99, 1000, u16::MAX];
+        for status in statuses {
+            for body in &bodies {
+                for extras in [0, 1, 2] {
+                    let mut response = HttpResponse::text(status, body.clone());
+                    if extras > 0 {
+                        response = response.with_header("Retry-After", "7");
+                    }
+                    if extras > 1 {
+                        response = response.with_header("X-Extra", "a b: c");
+                    }
+                    for keep_alive in [false, true] {
+                        for trace in [
+                            None,
+                            TraceId::from_raw(0xc0ffee),
+                            TraceId::from_raw(u64::MAX),
+                        ] {
+                            let encoded = encode_response(&response, keep_alive, trace);
+                            assert_eq!(
+                                encoded,
+                                reference_encode(&response, keep_alive, trace),
+                                "status {status}, {extras} extras, trace {trace:?}"
+                            );
+                            assert!(
+                                encoded.capacity() - encoded.len() <= HEAD_FIXED_BYTES,
+                                "sized once, with at most the head's slack"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

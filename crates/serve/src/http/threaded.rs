@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use scamdetect::trace::Stage;
+use scamdetect::trace::{Note, Stage};
 
 use super::parser::{Parsed, Phase, RequestParser};
 use super::{
@@ -155,7 +155,7 @@ fn serve_connection(
                 Ok(None) => break, // orderly close, idle timeout or drain
                 Err(failure) => {
                     protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = write_response(&mut stream, &failure, false);
+                    let _ = write_response(&mut stream, &failure, false, None);
                     // RST-safe close: stop the client and discard what it
                     // already sent — bounded — so the close degrades to
                     // FIN and the status line survives.
@@ -173,38 +173,37 @@ fn serve_connection(
             None => received,
         };
         attach_trace(trace, &mut request, origin);
-        let handler_span = if request.trace.is_some() {
+        let handler_span = request.trace_mut().map(|at| {
             if let Some((enqueued, dequeued)) = queue_wait {
-                request.trace_record(Stage::QueueWait, enqueued, dequeued);
+                at.record(Stage::QueueWait, enqueued, dequeued);
             }
-            request.trace_record(Stage::Parse, received, parsed_at);
-            request.trace_record_note(
+            at.record(Stage::Parse, received, parsed_at);
+            at.record_note(
                 Stage::Admission,
                 parsed_at,
                 parsed_at,
-                format!(
-                    "queued={} in_flight={} watermark={}",
-                    load.queued.load(Ordering::Relaxed),
-                    load.in_flight.load(Ordering::Relaxed),
-                    config.shed_watermark,
-                ),
+                Note::Load {
+                    queued: load.queued.load(Ordering::Relaxed),
+                    in_flight: load.in_flight.load(Ordering::Relaxed),
+                    watermark: config.shed_watermark,
+                },
             );
-            request.trace_begin(Stage::Handler)
-        } else {
-            None
-        };
+            at.begin(Stage::Handler)
+        });
         queue_wait = None;
         // A handler panic must not take the worker down with it: catch,
         // serve a 500, keep the connection policy honest.
         load.in_flight.fetch_add(1, Ordering::Relaxed);
-        let mut response =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request)))
-                .unwrap_or_else(|_| HttpResponse::error(500, "handler panicked"));
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request)))
+            .unwrap_or_else(|_| HttpResponse::error(500, "handler panicked"));
         load.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if let Some(id) = request.trace_id() {
-            request.trace_end_note(handler_span, format!("status={}", response.status));
-            response = response.with_header("x-trace-id", id.to_hex());
-        }
+        // A traced response echoes its id; the encoder writes the header.
+        let trace_id = request.trace_mut().map(|at| {
+            if let Some(span) = handler_span {
+                at.end_with_note(span, Note::Status(response.status));
+            }
+            at.id()
+        });
         // The advertised connection state must match what happens next:
         // the response that exhausts the per-connection request cap (or
         // lands during a drain) says `Connection: close`.
@@ -213,7 +212,7 @@ fn serve_connection(
             && served + 1 < config.max_requests_per_conn as u64;
         served += 1;
         let write_start = Instant::now();
-        let wrote = write_response(&mut stream, &response, keep_alive);
+        let wrote = write_response(&mut stream, &response, keep_alive, trace_id);
         if let Some(cell) = request.trace.take() {
             finish_trace(trace, cell, write_start);
         }

@@ -208,7 +208,9 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
-fn render_number(n: f64, out: &mut String) {
+/// Appends `n` as a JSON number: the shortest round-trip text, or
+/// `null` when it is not finite.
+pub(crate) fn render_number(n: f64, out: &mut String) {
     use std::fmt::Write as _;
     if n.is_finite() {
         // Shortest round-trip representation: `f64 → text → f64` is
@@ -220,7 +222,9 @@ fn render_number(n: f64, out: &mut String) {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string, escaping quotes, backslashes and
+/// control characters.
+pub(crate) fn render_string(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
     // Every byte that needs an escape is ASCII, so the runs between

@@ -215,6 +215,19 @@
 //!   served it, and splices the replica's spans under the forward span
 //!   on one shifted clock — queue wait, cache lookup, and scoring time
 //!   line up against the wire latency in a single indented tree.
+//! * **Cost.** With tracing on, *every* request records a trace, and
+//!   what it pays is small and fixed: a trace id (a counter and a
+//!   mix; the wall clock is read once per process), a span collector
+//!   that reuses a buffer from its thread's pool instead of
+//!   allocating, one clock read per span, notes kept as raw numbers
+//!   and addresses rather than text, the `x-trace-id` header written
+//!   from the id's digits straight into the response buffer, and the
+//!   per-stage histogram updates at finish. Only a *kept* trace
+//!   (sampled, forced or slow) pays for the rest: its immutable
+//!   [`scamdetect::trace::Trace`] with an owned span list, its note
+//!   texts, one wall-clock read for `unix_start_us`, and a ring slot.
+//!   The `hit_path_allocations` test holds a cache hit, tracing
+//!   included, to an allocation budget on both transports.
 //! * **`parse`** runs from a request's first byte to its parsed head
 //!   and body. A request pipelined behind another starts its clock
 //!   when the transport turns to it, so neither its `parse` span nor

@@ -53,6 +53,13 @@
 //! that slot; other slots are unaffected. `POST /scan` reports the
 //! same envelope with status 422.
 //!
+//! The report schema has one implementation, [`render_report`]: a
+//! borrowed [`ReportView`] whose writer appends the compact JSON
+//! straight into the caller's buffer, with the same number and string
+//! rendering as [`Json::render`]. `/scan` renders one view as its
+//! body, and [`render_batch`] writes one per `/batch` slot, so neither
+//! builds a [`Json`] tree for a verdict.
+//!
 //! # Batch request / response (`POST /batch`)
 //!
 //! ```json
@@ -239,7 +246,7 @@
 //!
 //! [`ModelArtifact`]: scamdetect::ModelArtifact
 
-use crate::json::{obj, Json};
+use crate::json::{obj, render_number, render_string, Json};
 use crate::registry::ServingModel;
 use scamdetect::trace::Trace;
 use scamdetect::{CacheStatus, ScanReport};
@@ -296,31 +303,100 @@ pub fn parse_scan_request(value: &Json) -> Result<WireScanRequest, String> {
     Ok(WireScanRequest { bytes, platform })
 }
 
-/// Renders one successful scan report (see the module docs schema).
-pub fn render_report(report: &ScanReport, model: &ServingModel) -> Json {
-    obj([
-        (
-            "verdict",
-            Json::from(if report.is_malicious() {
+/// One successful scan report, ready to render (see the module docs
+/// schema). Borrowing the report and the model that scored it, the
+/// view costs nothing to build; [`ReportView::write_into`] emits the
+/// JSON into an existing buffer.
+pub fn render_report<'a>(report: &'a ScanReport, model: &'a ServingModel) -> ReportView<'a> {
+    ReportView { report, model }
+}
+
+/// Rendered bytes of a report besides its model id, with room for
+/// typical numbers (see [`ReportView::render`]).
+const REPORT_BYTES_HINT: usize = 256;
+
+/// A scan report and the serving model that scored it; see
+/// [`render_report`].
+#[derive(Clone, Copy)]
+pub struct ReportView<'a> {
+    report: &'a ScanReport,
+    model: &'a ServingModel,
+}
+
+impl ReportView<'_> {
+    /// Appends the report's compact JSON object to `out`. Numbers go
+    /// through JSON's shortest round-trip `f64` rendering, so integer
+    /// fields above 2^53 print as the `f64` they round to.
+    pub fn write_into(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let (report, model) = (self.report, self.model);
+        out.push_str("{\"verdict\":");
+        render_string(
+            if report.is_malicious() {
                 "malicious"
             } else {
                 "benign"
-            }),
-        ),
-        ("score", Json::from(report.verdict.malicious_probability)),
-        ("threshold", Json::from(model.threshold)),
-        ("platform", Json::from(report.verdict.platform.to_string())),
-        ("cache", Json::from(cache_status_str(report.cache))),
-        ("model", Json::from(model.id.as_str())),
-        ("model_epoch", Json::from(model.epoch)),
-        ("skeleton", Json::from(format!("{:016x}", report.skeleton))),
-        ("blocks", Json::from(report.cfg.blocks)),
-        ("instructions", Json::from(report.cfg.instructions)),
-        (
-            "elapsed_us",
-            Json::from(report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-        ),
-    ])
+            },
+            out,
+        );
+        out.push_str(",\"score\":");
+        render_number(report.verdict.malicious_probability, out);
+        out.push_str(",\"threshold\":");
+        render_number(model.threshold, out);
+        out.push_str(",\"platform\":\"");
+        let _ = write!(out, "{}", report.verdict.platform);
+        out.push_str("\",\"cache\":");
+        render_string(cache_status_str(report.cache), out);
+        out.push_str(",\"model\":");
+        render_string(&model.id, out);
+        out.push_str(",\"model_epoch\":");
+        render_number(model.epoch as f64, out);
+        out.push_str(",\"skeleton\":\"");
+        let _ = write!(out, "{:016x}", report.skeleton);
+        out.push_str("\",\"blocks\":");
+        render_number(report.cfg.blocks as f64, out);
+        out.push_str(",\"instructions\":");
+        render_number(report.cfg.instructions as f64, out);
+        out.push_str(",\"elapsed_us\":");
+        let elapsed_us = report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+        render_number(elapsed_us as f64, out);
+        out.push('}');
+    }
+
+    /// The report's JSON in a buffer sized once for typical reports.
+    pub fn render(&self) -> String {
+        let mut out = String::with_capacity(REPORT_BYTES_HINT + self.model.id.len());
+        self.write_into(&mut out);
+        out
+    }
+}
+
+/// Renders the `/batch` response: the serving model, then one result
+/// per request slot in order — a report, or `{"error": "<message>"}`.
+pub fn render_batch(results: &[Result<ScanReport, String>], model: &ServingModel) -> String {
+    let mut out = String::with_capacity(
+        64 + model.id.len() + results.len() * (REPORT_BYTES_HINT + model.id.len()),
+    );
+    out.push_str("{\"model\":");
+    render_string(&model.id, &mut out);
+    out.push_str(",\"model_epoch\":");
+    render_number(model.epoch as f64, &mut out);
+    out.push_str(",\"results\":[");
+    for (i, result) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match result {
+            Ok(report) => render_report(report, model).write_into(&mut out),
+            Err(message) => {
+                out.push_str("{\"error\":");
+                render_string(message, &mut out);
+                out.push('}');
+            }
+        }
+    }
+    out.push_str("]}");
+    out
 }
 
 /// The shared identity/flag fields of both trace renderings.

@@ -46,90 +46,53 @@ pub struct HostFunc {
     pub class: HostClass,
 }
 
-/// The standard host environment table.
+/// The standard environment as static data: each host function's name,
+/// semantic class, parameters and results, in import order. Both
+/// [`standard_env`] and [`classify`] read it, so a lookup allocates
+/// nothing.
 ///
 /// Pointer/length pairs are `i32`; amounts, balances and account handles
 /// are `i64` (a simplification of NEAR's 128-bit balances that preserves
 /// the call-shape).
-pub fn standard_env() -> Vec<HostFunc> {
+const STANDARD_ENV: [(&str, HostClass, &[ValType], &[ValType]); 13] = {
     use HostClass::*;
     use ValType::{I32, I64};
-    vec![
-        HostFunc {
-            name: "caller",
-            ty: FuncType::new(vec![], vec![I64]),
-            class: Environment,
-        },
-        HostFunc {
-            name: "attached_value",
-            ty: FuncType::new(vec![], vec![I64]),
-            class: Environment,
-        },
-        HostFunc {
-            name: "input",
-            ty: FuncType::new(vec![I32, I32], vec![I32]),
-            class: Environment,
-        },
-        HostFunc {
-            name: "block_timestamp",
-            ty: FuncType::new(vec![], vec![I64]),
-            class: Block,
-        },
-        HostFunc {
-            name: "block_height",
-            ty: FuncType::new(vec![], vec![I64]),
-            class: Block,
-        },
-        HostFunc {
-            name: "account_balance",
-            ty: FuncType::new(vec![I64], vec![I64]),
-            class: Environment,
-        },
-        HostFunc {
-            name: "transfer",
-            ty: FuncType::new(vec![I64, I64], vec![]),
-            class: ValueTransfer,
-        },
-        HostFunc {
-            name: "storage_read",
-            ty: FuncType::new(vec![I64], vec![I64]),
-            class: StorageRead,
-        },
-        HostFunc {
-            name: "storage_write",
-            ty: FuncType::new(vec![I64, I64], vec![]),
-            class: StorageWrite,
-        },
-        HostFunc {
-            name: "log",
-            ty: FuncType::new(vec![I32, I32], vec![]),
-            class: Log,
-        },
-        HostFunc {
-            name: "call_contract",
-            ty: FuncType::new(vec![I64, I32, I32], vec![I64]),
-            class: CrossCall,
-        },
-        HostFunc {
-            name: "panic",
-            ty: FuncType::new(vec![], vec![]),
-            class: Abort,
-        },
-        HostFunc {
-            name: "sha256",
-            ty: FuncType::new(vec![I32, I32], vec![I64]),
-            class: Crypto,
-        },
+    [
+        ("caller", Environment, &[], &[I64]),
+        ("attached_value", Environment, &[], &[I64]),
+        ("input", Environment, &[I32, I32], &[I32]),
+        ("block_timestamp", Block, &[], &[I64]),
+        ("block_height", Block, &[], &[I64]),
+        ("account_balance", Environment, &[I64], &[I64]),
+        ("transfer", ValueTransfer, &[I64, I64], &[]),
+        ("storage_read", StorageRead, &[I64], &[I64]),
+        ("storage_write", StorageWrite, &[I64, I64], &[]),
+        ("log", Log, &[I32, I32], &[]),
+        ("call_contract", CrossCall, &[I64, I32, I32], &[I64]),
+        ("panic", Abort, &[], &[]),
+        ("sha256", Crypto, &[I32, I32], &[I64]),
     ]
+};
+
+/// The standard host environment table, in import order.
+pub fn standard_env() -> Vec<HostFunc> {
+    STANDARD_ENV
+        .iter()
+        .map(|&(name, class, params, results)| HostFunc {
+            name,
+            ty: FuncType::new(params.to_vec(), results.to_vec()),
+            class,
+        })
+        .collect()
 }
 
 /// Looks up the semantic class of host import `name`, if it belongs to the
 /// standard environment.
 pub fn classify(name: &str) -> Option<HostClass> {
-    standard_env()
-        .into_iter()
-        .find(|h| h.name == name)
-        .map(|h| h.class)
+    STANDARD_ENV
+        .iter()
+        .find(|&&(known, ..)| known == name)
+        .map(|&(_, class, ..)| class)
 }
 
 /// Imports the whole standard environment into `module`, returning the

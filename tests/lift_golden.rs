@@ -1,15 +1,17 @@
-//! Golden digest of the EVM miss path.
+//! Golden digests of the EVM and WASM miss paths.
 //!
-//! A fixed, seeded input set goes through everything a never-seen EVM
-//! contract meets before a detector scores it: the raw CFG under every
-//! unknown-jump policy, the unified lift, the opcode histogram, the
-//! request fingerprint, the graph feature vector and the prepared GNN
-//! graph. All of it folds into one FNV-1a value. Floats fold as their
-//! bit patterns, so the digest pins exact bits, not printed text.
+//! Fixed, seeded input sets go through everything a never-seen contract
+//! meets before a detector scores it. For EVM that is the raw CFG under
+//! every unknown-jump policy, the unified lift, the opcode histogram,
+//! the request fingerprint, the graph feature vector and the prepared
+//! GNN graph; for WASM it is the same minus the raw EVM CFG. Each set
+//! folds into one FNV-1a value. Floats fold as their bit patterns, so
+//! the digests pin exact bits, not printed text.
 //!
-//! Any change to decoding, block partitioning, jump resolution, edge
-//! order or featurization moves the digest. A change that means to move
-//! it must update [`GOLDEN_DIGEST`] and say why.
+//! Any change to decoding, block partitioning, jump resolution, host
+//! call classification, edge order or featurization moves a digest. A
+//! change that means to move one must update [`GOLDEN_DIGEST`] or
+//! [`WASM_GOLDEN_DIGEST`] and say why.
 
 use scamdetect::featurize::{lift_bytes, opcode_histogram_bytes};
 use scamdetect::request_fingerprint;
@@ -19,11 +21,16 @@ use scamdetect_evm::cfg::{build_cfg_with, CfgOptions, EdgeKind, UnknownJumpPolic
 use scamdetect_evm::opcode::Opcode;
 use scamdetect_evm::proxy::{fnv1a_extend, make_erc1167, FNV1A_OFFSET_BASIS};
 use scamdetect_gnn::PreparedGraph;
-use scamdetect_ir::{features::graph_feature_vector, Platform, UnifiedEdge};
+use scamdetect_ir::{features::graph_feature_vector, Platform, UnifiedCfg, UnifiedEdge};
 use scamdetect_obfuscate::ObfuscationLevel;
 
 /// The digest of [`inputs`] through [`fold_input`].
 const GOLDEN_DIGEST: u64 = 0x8337_e5de_8b20_3890;
+
+/// The digest of [`wasm_inputs`] through [`fold_wasm_input`]. It pins
+/// today's host-import labelling too: every call into the import range,
+/// including each import's own synthetic node, classifies by name.
+const WASM_GOLDEN_DIGEST: u64 = 0x8a6c_4c05_4fa3_3674;
 
 /// SplitMix64: a self-contained seeded stream, so the inputs do not
 /// depend on any random-number crate.
@@ -154,6 +161,27 @@ fn inputs() -> Vec<Vec<u8>> {
     out
 }
 
+/// Generated WASM modules from three corpus seeds, each of them also
+/// obfuscated at levels 1 to 5.
+fn wasm_inputs() -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for seed in [0x3A5E, 0xF00D, 0x5EED_0006] {
+        let corpus = Corpus::generate(&CorpusConfig {
+            size: 40,
+            seed,
+            platform: Platform::Wasm,
+            ..CorpusConfig::default()
+        });
+        for contract in corpus.contracts() {
+            out.push(contract.bytes.clone());
+            for level in 1..=5 {
+                out.push(contract.obfuscated(ObfuscationLevel::new(level)).bytes);
+            }
+        }
+    }
+    out
+}
+
 struct Digest(u64);
 
 impl Digest {
@@ -227,6 +255,12 @@ fn fold_input(d: &mut Digest, bytes: &[u8]) {
     d.word(request_fingerprint(Platform::Evm, bytes));
 
     let unified = lift_bytes(Platform::Evm, bytes).expect("nonempty EVM bytes lift");
+    fold_unified(d, &unified);
+}
+
+/// Folds a unified CFG: per-block class counts, edges, the graph
+/// feature vector and the prepared GNN graph.
+fn fold_unified(d: &mut Digest, unified: &UnifiedCfg) {
     d.index(unified.block_count());
     for (_, block) in unified.graph().nodes() {
         for &count in &block.class_counts {
@@ -241,11 +275,11 @@ fn fold_input(d: &mut Digest, bytes: &[u8]) {
     }
     d.index(unified.entry().index());
     d.word(u64::from(unified.unresolved_fraction().to_bits()));
-    for feature in graph_feature_vector(&unified) {
+    for feature in graph_feature_vector(unified) {
         d.word(feature.to_bits());
     }
 
-    let prepared = PreparedGraph::from_cfg(&unified, 0);
+    let prepared = PreparedGraph::from_cfg(unified, 0);
     d.index(prepared.x.rows());
     for &x in prepared.x.as_slice() {
         d.word(u64::from(x.to_bits()));
@@ -255,6 +289,16 @@ fn fold_input(d: &mut Digest, bytes: &[u8]) {
         d.word(u64::from(to));
         d.word(u64::from(weight.to_bits()));
     }
+}
+
+fn fold_wasm_input(d: &mut Digest, bytes: &[u8]) {
+    d.index(bytes.len());
+    for bin in opcode_histogram_bytes(Platform::Wasm, bytes) {
+        d.word(bin.to_bits());
+    }
+    d.word(request_fingerprint(Platform::Wasm, bytes));
+    let unified = lift_bytes(Platform::Wasm, bytes).expect("generated WASM modules lift");
+    fold_unified(d, &unified);
 }
 
 #[test]
@@ -269,6 +313,23 @@ fn evm_miss_path_digest_is_unchanged() {
         d.0,
         GOLDEN_DIGEST,
         "lift digest moved: got {:#018x} over {} inputs",
+        d.0,
+        inputs.len()
+    );
+}
+
+#[test]
+fn wasm_miss_path_digest_is_unchanged() {
+    let inputs = wasm_inputs();
+    assert_eq!(inputs.len(), 3 * 40 * 6);
+    let mut d = Digest(FNV1A_OFFSET_BASIS);
+    for bytes in &inputs {
+        fold_wasm_input(&mut d, bytes);
+    }
+    assert_eq!(
+        d.0,
+        WASM_GOLDEN_DIGEST,
+        "WASM lift digest moved: got {:#018x} over {} inputs",
         d.0,
         inputs.len()
     );

@@ -533,3 +533,263 @@ proptest! {
         prop_assert_eq!(decode_hex(&text), reference_decode_hex(&text), "{:?}", text);
     }
 }
+
+// ─────────────── report rendering against the tree-building references ───────────────
+//
+// `/scan` and `/batch` write each verdict straight into the response
+// buffer through `wire::render_report`'s view. The references below are
+// the renderers that view replaced: they built an owned `Json` tree per
+// report (a `String` per key) and rendered it. The properties pin the
+// writers to them byte for byte.
+
+use scamdetect::{CacheStatus, CfgStats, ScanReport, ScannerBuilder, Verdict};
+use scamdetect_dataset::ContractLabel;
+use scamdetect_ir::Platform;
+use scamdetect_serve::json::obj;
+use scamdetect_serve::wire::{cache_status_str, render_batch, render_report};
+use scamdetect_serve::ServingModel;
+use std::cell::RefCell;
+use std::time::Duration;
+
+fn reference_render_report(report: &ScanReport, model: &ServingModel) -> Json {
+    obj([
+        (
+            "verdict",
+            Json::from(if report.is_malicious() {
+                "malicious"
+            } else {
+                "benign"
+            }),
+        ),
+        ("score", Json::from(report.verdict.malicious_probability)),
+        ("threshold", Json::from(model.threshold)),
+        ("platform", Json::from(report.verdict.platform.to_string())),
+        ("cache", Json::from(cache_status_str(report.cache))),
+        ("model", Json::from(model.id.as_str())),
+        ("model_epoch", Json::from(model.epoch)),
+        ("skeleton", Json::from(format!("{:016x}", report.skeleton))),
+        ("blocks", Json::from(report.cfg.blocks)),
+        ("instructions", Json::from(report.cfg.instructions)),
+        (
+            "elapsed_us",
+            Json::from(report.elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
+        ),
+    ])
+}
+
+/// The `/batch` envelope as the handler built it: a report tree or an
+/// `{"error": …}` object per slot, inside `model`/`model_epoch`/`results`.
+fn reference_render_batch(results: &[Result<ScanReport, String>], model: &ServingModel) -> String {
+    let results: Vec<Json> = results
+        .iter()
+        .map(|result| match result {
+            Ok(report) => reference_render_report(report, model),
+            Err(message) => obj([("error", Json::from(message.as_str()))]),
+        })
+        .collect();
+    obj([
+        ("model", Json::from(model.id.as_str())),
+        ("model_epoch", Json::from(model.epoch)),
+        ("results", Json::Arr(results)),
+    ])
+    .render()
+}
+
+thread_local! {
+    /// A serving model over the committed golden fixture; each case
+    /// overwrites the fields a report renders.
+    static SERVING_MODEL: RefCell<ServingModel> = RefCell::new(ServingModel {
+        id: String::new(),
+        epoch: 0,
+        kind: String::new(),
+        threshold: 0.5,
+        fingerprint: 0,
+        scanner: ScannerBuilder::new()
+            .load(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/fixtures/golden-logreg-unified-v1.scam"
+            ))
+            .expect("the golden fixture loads"),
+    });
+}
+
+/// Scores and thresholds with their own renderings: zeros of both
+/// signs, one, the subnormal and normal extremes, integral values at
+/// and past 2^53, huge and tiny magnitudes, and non-finite values
+/// (rendered `null`).
+const SPECIAL_FLOATS: &[f64] = &[
+    0.0,
+    -0.0,
+    1.0,
+    0.5,
+    f64::from_bits(1),
+    f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+    f64::MIN_POSITIVE,
+    f64::MAX,
+    f64::EPSILON,
+    9_007_199_254_740_991.0,
+    9_007_199_254_740_992.0,
+    9_007_199_254_740_994.0,
+    1e21,
+    -1e300,
+    1e-300,
+    12345.0,
+    -7.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// A float: a special value, any bit pattern, or a probability.
+fn float_of(kind: usize, bits: u64) -> f64 {
+    match kind % 3 {
+        0 => SPECIAL_FLOATS[(bits % SPECIAL_FLOATS.len() as u64) as usize],
+        1 => f64::from_bits(bits),
+        _ => (bits >> 11) as f64 / (1u64 << 53) as f64,
+    }
+}
+
+/// An integer field of any size: small counters and values past 2^53
+/// (which render through `f64`).
+fn integer_of(bits: u64, shift: u32) -> u64 {
+    bits >> (shift % 64)
+}
+
+/// Model-id characters: plain and multi-byte text, quotes,
+/// backslashes and control characters.
+const ID_CHARS: &[char] = &[
+    'r', 'f', '-', '1', '.', '"', '\\', '/', '\n', '\u{0}', '\u{1f}', '\u{7f}', 'é', '→',
+    '\u{2028}', '😀',
+];
+
+const CACHE_STATUSES: [CacheStatus; 3] = [
+    CacheStatus::Miss,
+    CacheStatus::CacheHit,
+    CacheStatus::BatchHit,
+];
+
+/// A report drawn from `seed`'s stream: every cache status and both
+/// platforms, special and arbitrary scores, and counters of any size.
+fn report_of(seed: u64) -> ScanReport {
+    let mut rng = proptest::test_runner::Gen::for_case("report_of", seed);
+    let score = float_of(rng.below(3) as usize, rng.next_u64());
+    let malicious = rng.below(2) == 0;
+    let platform = if rng.below(2) == 0 {
+        Platform::Evm
+    } else {
+        Platform::Wasm
+    };
+    let blocks = integer_of(rng.next_u64(), rng.below(64) as u32) as usize;
+    let instructions = integer_of(rng.next_u64(), rng.below(64) as u32) as usize;
+    let elapsed_us = integer_of(rng.next_u64(), rng.below(64) as u32);
+    ScanReport {
+        verdict: Verdict {
+            label: if malicious {
+                ContractLabel::Malicious
+            } else {
+                ContractLabel::Benign
+            },
+            malicious_probability: score,
+            platform,
+            model: "ignored".to_string(),
+            blocks,
+            instructions,
+        },
+        skeleton: rng.next_u64(),
+        cache: CACHE_STATUSES[rng.below(3) as usize],
+        elapsed: Duration::from_micros(elapsed_us) + Duration::from_nanos(rng.below(1000)),
+        cfg: CfgStats {
+            blocks,
+            instructions,
+            edges: 0,
+            bytes: 0,
+        },
+    }
+}
+
+/// Runs `f` against the shared serving model with the case's id,
+/// epoch and threshold.
+fn with_model<R>(id: &str, epoch: u64, threshold: f64, f: impl FnOnce(&ServingModel) -> R) -> R {
+    SERVING_MODEL.with(|cell| {
+        let mut model = cell.borrow_mut();
+        model.id = id.to_string();
+        model.epoch = epoch;
+        model.threshold = threshold;
+        f(&model)
+    })
+}
+
+proptest! {
+    /// One report renders exactly the bytes its `Json` tree rendered,
+    /// through both the buffer-returning and the appending writer.
+    #[test]
+    fn report_writer_matches_the_tree_reference(
+        seed in any::<u64>(),
+        id in proptest::collection::vec(0usize..ID_CHARS.len(), 0..24),
+        epoch_bits in any::<u64>(),
+        epoch_shift in 0u32..64,
+        threshold_kind in 0usize..3,
+        threshold_bits in any::<u64>()
+    ) {
+        let id: String = id.iter().map(|&i| ID_CHARS[i]).collect();
+        let report = report_of(seed);
+        let threshold = float_of(threshold_kind, threshold_bits);
+        with_model(&id, integer_of(epoch_bits, epoch_shift), threshold, |model| {
+            let expected = reference_render_report(&report, model).render();
+            let view = render_report(&report, model);
+            prop_assert_eq!(view.render(), expected.clone());
+            let mut appended = String::from("[");
+            view.write_into(&mut appended);
+            prop_assert_eq!(appended, format!("[{expected}"));
+        });
+    }
+
+    /// A `/batch` body, reports and error slots mixed, renders exactly
+    /// the envelope the handler built.
+    #[test]
+    fn batch_writer_matches_the_envelope_reference(
+        slots in proptest::collection::vec(any::<u64>(), 0..12),
+        id in proptest::collection::vec(0usize..ID_CHARS.len(), 0..12),
+        epoch_bits in any::<u64>(),
+        epoch_shift in 0u32..64
+    ) {
+        let id: String = id.iter().map(|&i| ID_CHARS[i]).collect();
+        let results: Vec<Result<ScanReport, String>> = slots
+            .iter()
+            .map(|&seed| {
+                if seed % 4 == 0 {
+                    let message: String =
+                        (0..seed % 9).map(|k| ID_CHARS[((seed >> k) % 16) as usize]).collect();
+                    Err(format!("scan failed: {message}"))
+                } else {
+                    Ok(report_of(seed))
+                }
+            })
+            .collect();
+        with_model(&id, integer_of(epoch_bits, epoch_shift), 0.5, |model| {
+            prop_assert_eq!(render_batch(&results, model), reference_render_batch(&results, model));
+        });
+    }
+}
+
+/// Every special float renders as the reference does, through the
+/// report's `score` and `threshold`, and as a bare `Json` number.
+#[test]
+fn special_floats_render_as_the_float_formatter_does() {
+    for &x in SPECIAL_FLOATS {
+        let expected = if x.is_finite() {
+            format!("{x}")
+        } else {
+            "null".to_string()
+        };
+        assert_eq!(Json::Num(x).render(), expected, "{x:?}");
+        let mut report = report_of(7);
+        report.verdict.malicious_probability = x;
+        with_model("golden", 3, x, |model| {
+            assert_eq!(
+                render_report(&report, model).render(),
+                reference_render_report(&report, model).render()
+            );
+        });
+    }
+}
